@@ -45,10 +45,6 @@ def prime_factors(m: int) -> Counter:
     return out
 
 
-def is_prime_power(m: int) -> bool:
-    return m >= 2 and len(prime_factors(m)) == 1
-
-
 class GF:
     """GF(q) with full add/mul tables; elements are 0..q-1 in base-p digits."""
 
@@ -323,19 +319,6 @@ def td(k: int, m: int) -> GDD:
                 blk.append((2 + s, sq[x][y]))
             blocks.append(tuple(blk))
     return GDD(groups, blocks)
-
-
-def td_exists(k: int, m: int) -> bool:
-    """Known sufficient conditions only; False means "not known here"."""
-    if m == 1:
-        return True
-    if is_prime_power(m) and k <= m + 1:
-        return True
-    if k <= mols_capacity(m) + 2:
-        return True
-    if k == 6:
-        return m >= 5 and m not in (6, 10, 14, 18, 22)
-    return False
 
 
 def td_constructible(k: int, m: int) -> bool:

@@ -53,14 +53,7 @@ class CatalogEntry:
     def load(self):
         """Parse the data file (cached), checking its manifest checksum."""
         if self._obj is None:
-            text = (_data_dir() / self.file).read_text()
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            if digest != self.sha256:
-                raise ValueError(
-                    f"{self.file}: checksum mismatch "
-                    f"(manifest {self.sha256[:12]}.., file {digest[:12]}..)"
-                )
-            self._obj = _PARSERS[self.kind](text)
+            self._obj = _PARSERS[self.kind](self.text())
         return self._obj
 
     def text(self) -> str:
@@ -68,7 +61,10 @@ class CatalogEntry:
         text = (_data_dir() / self.file).read_text()
         digest = hashlib.sha256(text.encode()).hexdigest()
         if digest != self.sha256:
-            raise ValueError(f"{self.file}: checksum mismatch")
+            raise ValueError(
+                f"{self.file}: checksum mismatch "
+                f"(manifest {self.sha256[:12]}.., file {digest[:12]}..)"
+            )
         return text
 
     def design(self) -> Design:

@@ -9,12 +9,10 @@ and diagnostics to stderr.  Exit codes: 0 for a positive result, 1 for a
 definite negative (verification failure, infeasible, search exhausted),
 2 for inconclusive outcomes (undecided cells, search budget hit), 3 for
 usage or input errors.  Randomized commands take --seed with a fixed
-default, so runs are reproducible; --threads is accepted for
-compatibility but evaluation is single-threaded either way.
+default, so runs are reproducible.
 """
 
 import argparse
-import os
 import sys
 
 from .algebra import verify_gdd
@@ -38,7 +36,7 @@ from .files import (
     serialize_design,
     serialize_starter,
 )
-from .prover import EXISTS, INFEASIBLE, Prover, table as existence_table
+from .prover import EXISTS, INFEASIBLE, Prover, prove_type, table as existence_table
 from .quasigroup import check_frame, design_to_frame
 from . import search as searchers
 
@@ -161,14 +159,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    t = parse_type(args.type)
-    prover = Prover(large=args.large)
-    from .prover import _three_family
-    nu = _three_family(t)
-    outcome = prover.prove(*nu) if nu is not None else prover.resolve(t)
+    outcome, design = prove_type(args.type, materialize=args.materialize,
+                                 large=args.large)
     print(outcome.describe())
-    if outcome.verdict == EXISTS and args.materialize:
-        design = prover.materialize(outcome.recipe)
+    if design is not None:
         print(f"materialized: {len(design.blocks)} blocks, verified")
         if args.output:
             _write(args.output, serialize_design(_writable(design)))
@@ -298,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="hsd",
         description="Holey Schroder designs: verify, build, search, decide.")
-    top.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="accepted for compatibility; results never depend on it")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
 

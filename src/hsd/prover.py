@@ -147,11 +147,9 @@ class Prover:
     desk-scale and a large-scale query should not share an instance.
     """
 
-    def __init__(self, large: bool = False, max_points: int = None,
-                 search_nodes: int = SEARCH_NODES,
+    def __init__(self, large: bool = False, search_nodes: int = SEARCH_NODES,
                  search_seconds: float = SEARCH_SECONDS):
-        self.max_points = max_points if max_points is not None else (
-            LARGE_MAX_POINTS if large else DESK_MAX_POINTS)
+        self.max_points = LARGE_MAX_POINTS if large else DESK_MAX_POINTS
         self.search_nodes = search_nodes
         self.search_seconds = search_seconds
         self._memo = {}
@@ -206,8 +204,7 @@ class Prover:
                 f"beyond scale cap ({t.points} points > {self.max_points})",))
         for rule in (self._r_trivial, self._r_feasible, self._r_catalog,
                      self._r_search, self._r_gdd1, self._r_tdw, self._r_mul,
-                     self._r_fill_a, self._r_fill_b, self._r_9fam,
-                     self._r_fsols):
+                     self._r_fill_a, self._r_fill_b, self._r_9fam):
             hit = rule(t, notes)
             if isinstance(hit, Outcome):
                 return hit
@@ -439,16 +436,6 @@ class Prover:
                           tuple(p.recipe for p in plans))
         return None
 
-    def _r_fsols(self, t, notes):
-        items = dict(t.items)
-        if 12 in items and len(items) == 2:
-            m = items[12]
-            (x,) = [s for s in items if s != 12]
-            if m >= 5 and items[x] == 1 and x % 4 == 0 and 4 <= x <= 4 * (m - 1):
-                notes.append(f"shape 12^{m} {x}^1 matches the frame-square "
-                             "route, whose ingredient squares are not bundled")
-        return None
-
     # -- materialization ----------------------------------------------
 
     def materialize(self, recipe: Recipe) -> Design:
@@ -477,9 +464,8 @@ class Prover:
         if rule == "R-CAT":
             return _catalog_design(p["id"])
         if rule == "R-SEARCH":
-            res = search_direct(recipe.target, seed=p["seed"], time_limit=60.0,
-                                node_limit=self.search_nodes)
-            if res.status != "FOUND":
+            res = search_direct(recipe.target, seed=p["seed"], node_limit=self.search_nodes)
+            if not res:
                 raise AssertionError(f"search replay lost {recipe.target}")
             return res.design
         if rule == "R-GDD1":

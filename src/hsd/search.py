@@ -1,4 +1,4 @@
-"""Backtracking searches: whole designs, starter sets, and small GDDs.
+"""Backtracking searches: whole designs and starter sets.
 
 `search_direct` is an exact-cover search over canonical candidate blocks:
 items are (cross pair, color) slots, every slot must be covered exactly
@@ -25,10 +25,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
-from hsd.algebra import GDD
 from hsd.core import COLORS, Design, TypeSpec, block_pairs, block_sort_key, pair, point_key
 from hsd.development import StarterSet, develop, orbit
 
@@ -42,7 +41,6 @@ class SearchResult:
     status: str
     design: Optional[Design] = None
     starter_set: Optional[StarterSet] = None
-    gdd: Optional[GDD] = None
     nodes: int = 0
     elapsed: float = 0.0
 
@@ -173,61 +171,16 @@ def _holes_for(t: TypeSpec) -> list:
     return holes
 
 
-def _with_restarts(run, seed, restarts, time_limit):
-    """Run a seeded search with randomized restarts.
+def _candidates(holes: list):
+    """Exact-cover input shared by the block-level searches.
 
-    A "none" from any try is final (exhaustion does not depend on the
-    candidate order); "found" is final; only timeouts trigger another try
-    with the next seed.
+    Returns (item_id, blocks, items): item_id numbers every (cross pair,
+    color) slot, and each candidate block, on four distinct holes with its
+    least point first in each of the six orders of the other three, comes
+    with the item numbers it covers.  Points are taken in point_key order.
     """
-    overall = Budget(time_limit)
-    total_nodes = 0
-    result = None
-    for i in range(max(1, restarts)):
-        remaining = None
-        if overall.deadline is not None:
-            remaining = overall.deadline - time.monotonic()
-            if remaining <= 0:
-                break
-        result = run(seed + i, remaining)
-        total_nodes += result.nodes
-        if result.status != TIMEOUT:
-            break
-    if result is None:
-        result = SearchResult(TIMEOUT)
-    result.nodes = total_nodes
-    result.elapsed = overall.elapsed
-    return result
-
-
-def search_direct(
-    t: TypeSpec,
-    seed: int = 0,
-    time_limit=None,
-    node_limit=None,
-    restarts: int = 1,
-    order: str = "lex",
-) -> SearchResult:
-    """Exhaustive exact-cover search for a design of the given type.
-
-    Meant for small types (say up to ~20 points); the candidate list grows
-    like points^4.  "none" is only returned when the space was fully
-    exhausted within budget.  With restarts > 1 the search reruns with
-    fresh candidate orderings whenever a try burns through node_limit.
-    """
-    if restarts > 1:
-        return _with_restarts(
-            lambda s, tl: search_direct(t, s, tl, node_limit, order=order),
-            seed,
-            restarts,
-            time_limit,
-        )
-    holes = _holes_for(t)
-    hole_of = {}
-    for hi, hole in enumerate(holes):
-        for p in hole:
-            hole_of[p] = hi
-    points = sorted(hole_of)
+    hole_of = {p: hi for hi, hole in enumerate(holes) for p in hole}
+    points = sorted(hole_of, key=point_key)
 
     item_id = {}
     for p, q in combinations(points, 2):
@@ -235,64 +188,33 @@ def search_direct(
             for c in COLORS:
                 item_id[(pair(p, q), c)] = len(item_id)
 
-    cand_blocks, cand_items = [], []
+    blocks, items = [], []
     for quad in combinations(points, 4):
         if len({hole_of[p] for p in quad}) != 4:
             continue
-        a = quad[0]
-        for rest in (
-            (quad[1], quad[2], quad[3]),
-            (quad[1], quad[3], quad[2]),
-            (quad[2], quad[1], quad[3]),
-            (quad[2], quad[3], quad[1]),
-            (quad[3], quad[1], quad[2]),
-            (quad[3], quad[2], quad[1]),
-        ):
-            blk = (a,) + rest
-            cand_blocks.append(blk)
-            cand_items.append(tuple(item_id[k] for k in block_pairs(blk)))
+        for rest in permutations(quad[1:]):
+            blk = quad[:1] + rest
+            blocks.append(blk)
+            items.append(tuple(item_id[k] for k in block_pairs(blk)))
+    return item_id, blocks, items
 
+
+def search_direct(t: TypeSpec, seed: int = 0, time_limit=None, node_limit=None) -> SearchResult:
+    """Exhaustive exact-cover search for a design of the given type.
+
+    Meant for small types (say up to ~20 points); the candidate list grows
+    like points^4.  "none" is only returned when the space was fully
+    exhausted within budget.
+    """
+    holes = _holes_for(t)
+    item_id, cand_blocks, cand_items = _candidates(holes)
     budget = Budget(time_limit, node_limit)
     rng = random.Random(seed)
-    status, picked = ExactCover(len(item_id), cand_items).solve(rng, budget, order)
+    status, picked = ExactCover(len(item_id), cand_items).solve(rng, budget, "lex")
     design = None
     if status == FOUND:
         design = Design(holes, [cand_blocks[ci] for ci in picked])
     return SearchResult(status, design=design, nodes=budget.nodes, elapsed=budget.elapsed)
-
-
-def search_gdd(
-    t: TypeSpec, seed: int = 0, time_limit=None, node_limit=None, order: str = "mrv"
-) -> SearchResult:
-    """Exact-cover search for a 4-GDD (lambda = 1) of the given group type."""
-    groups = _holes_for(t)
-    group_of = {}
-    for gi, grp in enumerate(groups):
-        for p in grp:
-            group_of[p] = gi
-    points = sorted(group_of)
-
-    item_id = {}
-    for p, q in combinations(points, 2):
-        if group_of[p] != group_of[q]:
-            item_id[(p, q)] = len(item_id)
-
-    cand_blocks, cand_items = [], []
-    for quad in combinations(points, 4):
-        if len({group_of[p] for p in quad}) != 4:
-            continue
-        cand_blocks.append(quad)
-        cand_items.append(
-            tuple(item_id[(p, q)] for p, q in combinations(quad, 2))
-        )
-
-    budget = Budget(time_limit, node_limit)
-    rng = random.Random(seed)
-    status, picked = ExactCover(len(item_id), cand_items).solve(rng, budget, order)
-    gdd = None
-    if status == FOUND:
-        gdd = GDD(groups, [cand_blocks[ci] for ci in picked], lam=1)
-    return SearchResult(status, gdd=gdd, nodes=budget.nodes, elapsed=budget.elapsed)
 
 
 def search_climb(
@@ -308,40 +230,12 @@ def search_climb(
     nonexistence: the only statuses are "found" and "timeout".
     """
     holes = _holes_for(t)
-    hole_of = {}
-    for hi, hole in enumerate(holes):
-        for p in hole:
-            hole_of[p] = hi
-    points = sorted(hole_of)
-
-    item_id = {}
-    for p, q in combinations(points, 2):
-        if hole_of[p] != hole_of[q]:
-            for c in COLORS:
-                item_id[(pair(p, q), c)] = len(item_id)
+    item_id, cand_blocks, cand_items = _candidates(holes)
     n_items = len(item_id)
-
-    cand_blocks, cand_items = [], []
     by_item = [[] for _ in range(n_items)]
-    for quad in combinations(points, 4):
-        if len({hole_of[p] for p in quad}) != 4:
-            continue
-        a = quad[0]
-        for rest in (
-            (quad[1], quad[2], quad[3]),
-            (quad[1], quad[3], quad[2]),
-            (quad[2], quad[1], quad[3]),
-            (quad[2], quad[3], quad[1]),
-            (quad[3], quad[1], quad[2]),
-            (quad[3], quad[2], quad[1]),
-        ):
-            blk = (a,) + rest
-            ci = len(cand_blocks)
-            cand_blocks.append(blk)
-            items = tuple(item_id[k] for k in block_pairs(blk))
-            cand_items.append(items)
-            for it in items:
-                by_item[it].append(ci)
+    for ci, items in enumerate(cand_items):
+        for it in items:
+            by_item[it].append(ci)
 
     rng = random.Random(seed)
     budget = Budget(time_limit, iter_limit)
@@ -448,7 +342,6 @@ def search_orbits(
     seed: int = 0,
     time_limit=None,
     node_limit=None,
-    restarts: int = 1,
 ) -> SearchResult:
     """Exact cover at orbit granularity: candidates are whole orbits of a
     block under x -> x + step (mod hole_size * n), so one decision commits
@@ -460,13 +353,6 @@ def search_orbits(
     says nothing about existence at large.  Short orbits are enumerated
     like any other candidate, so even-modulus types are fine.
     """
-    if restarts > 1:
-        return _with_restarts(
-            lambda s, tl: search_orbits(n, u, hole_size, step, s, tl, node_limit),
-            seed,
-            restarts,
-            time_limit,
-        )
     g = hole_size * n
     if not 0 < step <= g or g % step:
         raise ValueError(f"step {step} does not divide the modulus {g}")
@@ -474,43 +360,20 @@ def search_orbits(
     holes = [[i + j * n for j in range(hole_size)] for i in range(n)]
     if labels:
         holes.append(list(labels))
-    hole_of = {}
-    for hi, hole in enumerate(holes):
-        for p in hole:
-            hole_of[p] = hi
-    points = sorted(hole_of, key=point_key)
-
-    item_id = {}
-    for p, q in combinations(points, 2):
-        if hole_of[p] != hole_of[q]:
-            for c in COLORS:
-                item_id[(pair(p, q), c)] = len(item_id)
-
+    item_id, cand_blocks, _ = _candidates(holes)
     starters, orbit_items = [], []
     seen = set()
-    for quad in combinations(points, 4):
-        if len({hole_of[p] for p in quad}) != 4:
+    for blk in cand_blocks:
+        orb = orbit(blk, g, step)
+        rep = min(orb, key=block_sort_key)
+        if rep in seen:
             continue
-        a = quad[0]
-        for rest in (
-            (quad[1], quad[2], quad[3]),
-            (quad[1], quad[3], quad[2]),
-            (quad[2], quad[1], quad[3]),
-            (quad[2], quad[3], quad[1]),
-            (quad[3], quad[1], quad[2]),
-            (quad[3], quad[2], quad[1]),
-        ):
-            blk = (a,) + rest
-            orb = orbit(blk, g, step)
-            rep = min(orb, key=block_sort_key)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            items = [item_id[k] for b in orb for k in block_pairs(b)]
-            if len(set(items)) != len(items):
-                continue  # the orbit steps on itself
-            starters.append(rep)
-            orbit_items.append(tuple(items))
+        seen.add(rep)
+        items = [item_id[k] for b in orb for k in block_pairs(b)]
+        if len(set(items)) != len(items):
+            continue  # the orbit steps on itself
+        starters.append(rep)
+        orbit_items.append(tuple(items))
 
     budget = Budget(time_limit, node_limit)
     rng = random.Random(seed)
@@ -543,7 +406,6 @@ def search_starters(
     seed: int = 0,
     time_limit=None,
     node_limit=None,
-    restarts: int = 1,
 ) -> SearchResult:
     """Backtracking search for a step-1 starter set of type h^n u^1.
 
@@ -552,13 +414,6 @@ def search_starters(
     used in a fixed order and only in the third slot.  Exhaustive within
     budget, so "none" certifies that no step-1 starter set exists.
     """
-    if restarts > 1:
-        return _with_restarts(
-            lambda s, tl: search_starters(n, u, hole_size, s, tl, node_limit),
-            seed,
-            restarts,
-            time_limit,
-        )
     g = hole_size * n
     same = {(j * n) % g for j in range(1, hole_size)}
     if g % 2 == 0 and (g // 2) not in same:

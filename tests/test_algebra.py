@@ -7,14 +7,12 @@ from hsd.algebra import (
     check_orthogonal,
     gf,
     is_latin_square,
-    is_prime_power,
     mols,
     mols_capacity,
     mols_pair,
     prime_factors,
     td,
     td_constructible,
-    td_exists,
     verify_gdd,
 )
 from hsd.core import parse_type
@@ -23,8 +21,6 @@ from hsd.core import parse_type
 def test_prime_factors():
     assert prime_factors(12) == {2: 2, 3: 1}
     assert prime_factors(49) == {7: 2}
-    assert is_prime_power(27) and is_prime_power(8) and is_prime_power(5)
-    assert not is_prime_power(12) and not is_prime_power(1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -110,8 +106,6 @@ def test_td_availability_predicates():
     assert td_constructible(10, 9)
     assert not td_constructible(6, 4)   # would need 4 orthogonal squares of order 4
     assert not td_constructible(6, 12)
-    assert td_exists(4, 3)
-    assert not td_exists(4, 2)          # 2 MOLS of order 2 are impossible
 
 
 def test_td_rejects_unbuildable_parameters():

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from hsd.catalog import catalog_get
 from hsd.cli import main
 from hsd.core import parse_type, verify_design
 from hsd.files import parse_design, parse_starter, serialize_design
+from hsd.prover import prove_type
 
 
 def run(capsys, *argv):
@@ -134,6 +136,14 @@ def test_prove_unknown(capsys):
     code, out, _ = run(capsys, "prove", "3^29 16^1")
     assert code == 2
     assert "UNKNOWN_HERE" in out
+
+
+@pytest.mark.parametrize("text, code", [
+    ("3^12 4^1", 0), ("3^6", 1), ("3^29 16^1", 2), ("15^4 3^1 8^1", 0)])
+def test_prove_prints_prove_type_verdict(capsys, text, code):
+    got, out, _ = run(capsys, "prove", text)
+    assert out == prove_type(text)[0].describe() + "\n"
+    assert got == code
 
 
 def test_prove_materialize_to_file(tmp_path, capsys):
@@ -268,13 +278,6 @@ def test_missing_file_reports_usage_error(capsys):
     assert "error" in err
 
 
-def test_threads_flag_accepted(capsys):
-    code1, out1, _ = run(capsys, "--threads", "1", "table", "--nmax", "6", "--umax", "4")
-    code2, out2, _ = run(capsys, "--threads", "4", "table", "--nmax", "6", "--umax", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 # --- console script and stdin plumbing -------------------------------------------
 
 def test_console_script_pipeline(tmp_path):
@@ -289,8 +292,13 @@ def test_console_script_pipeline(tmp_path):
 
 
 def test_console_script_entry_point():
+    # the installed `hsd` script and `python -m hsd` both call hsd.cli:main
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert 'hsd = "hsd.cli:main"' in scripts.splitlines()
     proc = subprocess.run(
-        ["hsd", "feasible", "8", "2"], capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "hsd", "feasible", "8", "2"],
+        capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "feasible, expected 150 blocks\n"

@@ -70,6 +70,13 @@ def test_resolve_search_rule(prover):
     assert verify_design(d).ok
 
 
+def test_search_recipe_replays_in_a_fresh_prover():
+    # the shared prover caches the searched design; a fresh one must rerun it
+    recipe = Prover().resolve(parse_type("2^5")).recipe
+    d = Prover().materialize(recipe)
+    assert d.type == parse_type("2^5") and len(d.blocks) == 20
+
+
 def test_resolve_exhausted_search_stays_unknown(prover):
     out = prover.resolve(parse_type("1^5"))
     assert out.verdict == UNKNOWN_HERE
@@ -107,12 +114,6 @@ def test_gdd_inflation_rule(prover):
     d = prover.materialize(recipe)
     assert len(d.blocks) == 27
     assert verify_design(d).ok
-
-
-def test_frame_square_shape_is_recognized(prover):
-    out = prover.resolve(parse_type("12^6 8^1"))
-    assert out.verdict == UNKNOWN_HERE
-    assert any("frame-square" in n for n in out.notes)
 
 
 def test_desk_scale_cap(prover):

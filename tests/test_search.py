@@ -1,8 +1,12 @@
 """Exact-cover engine and the four search entry points."""
 
+import hashlib
+import random
+
 import pytest
 
-from hsd.core import expected_block_count, parse_type, verify_design
+from hsd.catalog import catalog_get
+from hsd.core import Design, expected_block_count, parse_type, verify_design
 from hsd.development import develop
 from hsd.search import (
     FOUND,
@@ -10,6 +14,8 @@ from hsd.search import (
     TIMEOUT,
     Budget,
     ExactCover,
+    _candidates,
+    _holes_for,
     search_climb,
     search_direct,
     search_orbits,
@@ -117,3 +123,51 @@ def test_search_climb_never_claims_absence():
 def test_search_result_truthiness():
     assert bool(search_direct(parse_type("1^4")))
     assert not bool(search_direct(parse_type("1^5")))
+
+
+# (search, type or (n, u, step), seed, limit) -> (status, nodes, sha256 of
+# repr(design.blocks)); limit is node_limit, or iter_limit for climb.  A
+# change to the candidate builder or the exact-cover engine must reproduce
+# every row, so that seeds named in recipes and catalog notes still replay.
+FROZEN_SEARCHES = {
+    ("direct", "1^4", 0, None): (FOUND, 3, "abbc7e9d315a3d7f508cde05bedcac2bd23cf1b3c1ded29dd0087c77d7951d5a"),
+    ("direct", "3^4", 5, None): (FOUND, 29, "9b9460c32efda051f21e2997faf956681b075f1bbe0cf11f0bd7018688179f86"),
+    ("direct", "1^5", 0, None): (NONE, 43, None),
+    ("direct", "1^4 2^1", 0, None): (NONE, 159, None),
+    ("direct", "2^4", 0, None): (NONE, 633, None),
+    ("direct", "2^3 1^1", 0, None): (NONE, 49, None),
+    ("direct", "2^5", 0, None): (FOUND, 528, "5704bca187d3d30389e8230a65372aa195bb2f9c478f406a03981ba94c49a6fd"),
+    ("direct", "3^4 1^1", 0, 5): (TIMEOUT, 6, None),
+    ("orbits", (4, 1, 6), 0, None): (FOUND, 87, "95805331927ac15a1f4e7c573d43edaed48e71f9d474b4ecdca40f078f21a8c9"),
+    ("orbits", (4, 4, 4), 0, None): (FOUND, 218, "490f8ebdf4ced8cf6ce611c81dbdb1c676872c57d33613c8403870e0eecf3352"),
+    ("climb", "1^4", 0, 3000): (FOUND, 3, "abbc7e9d315a3d7f508cde05bedcac2bd23cf1b3c1ded29dd0087c77d7951d5a"),
+    ("climb", "1^5", 0, 3000): (TIMEOUT, 3001, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SEARCHES, key=repr), ids=repr)
+def test_searches_match_frozen_results(case):
+    kind, arg, seed, limit = case
+    if kind == "direct":
+        res = search_direct(parse_type(arg), seed=seed, node_limit=limit)
+    elif kind == "orbits":
+        n, u, step = arg
+        res = search_orbits(n, u, step=step, seed=seed, node_limit=limit)
+    else:
+        res = search_climb(parse_type(arg), seed=seed, iter_limit=limit)
+    digest = None
+    if res.design is not None:
+        digest = hashlib.sha256(repr(res.design.blocks).encode()).hexdigest()
+    assert (res.status, res.nodes, digest) == FROZEN_SEARCHES[case]
+
+
+@pytest.mark.parametrize("text", ["1^4", "1^8", "3^4"])
+def test_derived_direct_entries_replay_their_oracle(text):
+    # the catalog note names search_direct's candidates solved in mrv order
+    entry = catalog_get("S/" + text)
+    assert entry.note.startswith(f"search_direct('{text}', seed=0) candidates")
+    holes = _holes_for(parse_type(text))
+    item_id, blocks, items = _candidates(holes)
+    status, picked = ExactCover(len(item_id), items).solve(random.Random(0), order="mrv")
+    assert status == FOUND
+    assert Design(holes, [blocks[ci] for ci in picked]).blocks == entry.design().blocks
