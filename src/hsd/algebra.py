@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from hsd.core import TypeSpec, point_key
+from hsd.core import TypeSpec
 
 # irreducible over GF(p), coefficients low degree first
 _IRREDUCIBLE = {
@@ -227,11 +227,8 @@ class GDD:
     cross-group pair lies in exactly lam blocks."""
 
     def __init__(self, groups, blocks, lam: int = 1):
-        self.groups = tuple(tuple(sorted(g, key=point_key)) for g in groups)
-        self.blocks = tuple(
-            sorted((tuple(sorted(b, key=point_key)) for b in blocks),
-                   key=lambda b: tuple(point_key(p) for p in b))
-        )
+        self.groups = tuple(tuple(sorted(g)) for g in groups)
+        self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         self.lam = lam
         self._group_of = {}
         for i, g in enumerate(self.groups):
@@ -242,7 +239,7 @@ class GDD:
 
     @property
     def points(self) -> tuple:
-        return tuple(sorted(self._group_of, key=point_key))
+        return tuple(sorted(self._group_of))
 
     @property
     def type(self) -> TypeSpec:
@@ -304,19 +301,22 @@ def verify_gdd(gdd: GDD, max_errors: int = 8) -> GDDReport:
 
 
 def td(k: int, m: int) -> GDD:
-    """Transversal design TD(k, m) built from k - 2 orthogonal squares."""
+    """Transversal design TD(k, m) built from k - 2 orthogonal squares.
+
+    Group i holds the points i*m .. i*m + m - 1.
+    """
     if k < 2:
         raise ValueError("k must be at least 2")
     if m == 1:
-        return GDD([[(i, 0)] for i in range(k)], [tuple((i, 0) for i in range(k))])
+        return GDD([[i] for i in range(k)], [tuple(range(k))])
     squares = mols(m, k - 2) if k > 2 else []
-    groups = [[(i, x) for x in range(m)] for i in range(k)]
+    groups = [[i * m + x for x in range(m)] for i in range(k)]
     blocks = []
     for x in range(m):
         for y in range(m):
-            blk = [(0, x), (1, y)]
+            blk = [x, m + y]
             for s, sq in enumerate(squares):
-                blk.append((2 + s, sq[x][y]))
+                blk.append((2 + s) * m + sq[x][y])
             blocks.append(tuple(blk))
     return GDD(groups, blocks)
 

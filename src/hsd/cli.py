@@ -23,7 +23,6 @@ from .core import (
     expected_block_count,
     is_feasible,
     parse_type,
-    relabel,
     uniform_type,
     verify_design,
 )
@@ -33,6 +32,7 @@ from .files import (
     parse_design,
     parse_gdd,
     parse_starter,
+    point_label,
     serialize_design,
     serialize_starter,
 )
@@ -56,15 +56,6 @@ def _write(path, text: str):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _writable(design: Design) -> Design:
-    """Relabel designs whose points the file format cannot carry."""
-    simple = all(
-        isinstance(p, int) or (isinstance(p, str) and p.startswith("x"))
-        for p in design.points
-    )
-    return design if simple else relabel(design)
 
 
 def _load_design(path: str) -> Design:
@@ -165,7 +156,7 @@ def cmd_prove(args) -> int:
     if design is not None:
         print(f"materialized: {len(design.blocks)} blocks, verified")
         if args.output:
-            _write(args.output, serialize_design(_writable(design)))
+            _write(args.output, serialize_design(design))
     if outcome.verdict == EXISTS:
         return OK
     return NEGATIVE if outcome.verdict == INFEASIBLE else UNDECIDED
@@ -223,7 +214,7 @@ def cmd_search(args) -> int:
         if res.starter_set is not None:
             _write(args.output, serialize_starter(res.starter_set))
         else:
-            _write(args.output, serialize_design(_writable(res.design)))
+            _write(args.output, serialize_design(res.design))
         return OK
     return NEGATIVE if res.status == searchers.NONE else UNDECIDED
 
@@ -236,7 +227,7 @@ def cmd_multiply(args) -> int:
         for err in report.errors:
             print(f"  {err}", file=sys.stderr)
         return NEGATIVE
-    _write(args.output, serialize_design(_writable(result)))
+    _write(args.output, serialize_design(result))
     print(f"{design.type} x {args.m} -> {result.type}: "
           f"{len(result.blocks)} blocks, verified", file=sys.stderr)
     return OK
@@ -255,7 +246,7 @@ def cmd_fill(args) -> int:
         for err in report.errors:
             print(f"  {err}", file=sys.stderr)
         return NEGATIVE
-    _write(args.output, serialize_design(_writable(result)))
+    _write(args.output, serialize_design(result))
     print(f"filled -> {result.type}: {len(result.blocks)} blocks, verified",
           file=sys.stderr)
     return OK
@@ -266,12 +257,13 @@ def cmd_convert(args) -> int:
     ok, errors = check_frame(design)
     q = design_to_frame(design)
     elems = q.elements
-    width = max(len(str(e)) for e in elems) + 1
+    names = {e: point_label(e, design.label_base) for e in elems}
+    width = max(map(len, names.values())) + 1
     cell = lambda s: f"{s:>{width}}"  # noqa: E731
-    print(cell("*") + "".join(cell(e) for e in elems))
+    print(cell("*") + "".join(cell(names[e]) for e in elems))
     for x in elems:
-        row = [q.table.get((x, y), ".") for y in elems]
-        print(cell(x) + "".join(cell(z) for z in row))
+        row = [names[q.table[(x, y)]] if (x, y) in q.table else "." for y in elems]
+        print(cell(names[x]) + "".join(cell(z) for z in row))
     print(f"frame check: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     for err in errors:
         print(f"  {err}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Recursive constructions: multiply, weighting over a GDD, filling holes.
 
-All three return designs relabeled to integer points (intermediate points
-are compound tuples and would not serialize).  None of them trusts its
+Each numbers the points of its result as it creates them and builds the
+result once; the result carries no labels.  None of them trusts its
 inputs blindly: hole arithmetic is checked up front, and the caller is
 expected to run verify_design on the output, which the test suite does.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 
 from hsd.algebra import GDD, mols_pair
-from hsd.core import Design, TypeSpec, relabel
+from hsd.core import Design, TypeSpec
 
 
 def _as_supplier(inners):
@@ -27,17 +27,18 @@ def multiply(design: Design, m: int) -> Design:
     Type h1^n1 h2^n2 ... becomes (m*h1)^n1 (m*h2)^n2 ...; each block turns
     into m^2 blocks.  Any orthogonal pair works, so m = 2 and 6 are
     impossible and other orders 2 (mod 4) are not built here (see mols).
+    The copies of the k-th point are m*k .. m*k + m - 1.
     """
-    if m == 1:
-        return relabel(design)
-    a, b = mols_pair(m)
-    holes = [[(p, i) for p in hole for i in range(m)] for hole in design.holes]
+    a, b = ([[0]], [[0]]) if m == 1 else mols_pair(m)
+    first = {p: m * k for k, p in enumerate(design.points)}
+    holes = [[first[p] + i for p in hole for i in range(m)] for hole in design.holes]
     blocks = []
     for (w, x, y, z) in design.blocks:
+        w, x, y, z = first[w], first[x], first[y], first[z]
         for i in range(m):
             for j in range(m):
-                blocks.append(((w, i), (x, j), (y, a[i][j]), (z, b[i][j])))
-    return relabel(Design(holes, blocks))
+                blocks.append((w + i, x + j, y + a[i][j], z + b[i][j]))
+    return Design(holes, blocks)
 
 
 def weight_inflate(gdd: GDD, weights, supply) -> Design:
@@ -57,11 +58,15 @@ def weight_inflate(gdd: GDD, weights, supply) -> Design:
             raise ValueError(f"negative weight on {p!r}")
     supply = _as_supplier(supply)
 
-    holes = []
+    # the copies of point p are first[p] .. first[p] + w[p] - 1, numbered group by group
+    first, holes, top = {}, [], 0
     for grp in gdd.groups:
-        hole = [(p, i) for p in grp for i in range(w.get(p, 0))]
-        if hole:
-            holes.append(hole)
+        start = top
+        for p in grp:
+            first[p] = top
+            top += w.get(p, 0)
+        if top > start:
+            holes.append(list(range(start, top)))
 
     blocks = []
     for blk in gdd.blocks:
@@ -84,15 +89,16 @@ def weight_inflate(gdd: GDD, weights, supply) -> Design:
             owner = by_size[len(hole)][used[len(hole)]]
             used[len(hole)] += 1
             for i, q in enumerate(hole):
-                mapping[q] = (owner, i)
+                mapping[q] = first[owner] + i
         for ib in ingredient.blocks:
             blocks.append(tuple(mapping[q] for q in ib))
-    return relabel(Design(holes, blocks))
+    return Design(holes, blocks)
 
 
 def _fill(outer: Design, v: int, inner_by_size, keep_size) -> Design:
     inner_by_size = _as_supplier(inner_by_size)
-    fresh = [("fill", i) for i in range(v)]
+    top = outer.points[-1] + 1
+    fresh = list(range(top, top + v))
     kept = None
     if keep_size is not None:
         for idx, hole in enumerate(outer.holes):
@@ -138,7 +144,7 @@ def _fill(outer: Design, v: int, inner_by_size, keep_size) -> Design:
             blocks.append(tuple(mapping[q] for q in ib))
     if long_hole:
         holes.append(long_hole)
-    return relabel(Design(holes, blocks))
+    return Design(holes, blocks)
 
 
 def fill_holes_a(outer: Design, v: int, inner: Design, keep_size=None) -> Design:

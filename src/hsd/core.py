@@ -17,9 +17,11 @@ rewriting
 which leaves the colored pairs untouched; `canonical_block` picks the
 lexicographically least of the four forms.
 
-Points are either integers or infinite-style labels "x1", "x2", ...  (other
-hashables are tolerated internally so constructions can use compound points
-before relabeling).
+Points are plain integers, so every ordering below is natural integer
+order.  The long-hole points of a starter set, written "x1", "x2", ... in
+files, are the integers g, g+1, ... just past Z_g; a Design remembers where
+such labels start (`label_base`) only so that it can be written out again
+with them.
 """
 
 from __future__ import annotations
@@ -28,37 +30,16 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Optional
 
-Point = Hashable
-Block = tuple  # 4-tuple of points
+Block = tuple  # 4-tuple of int points
 
 COLORS = (1, 2, 3)
 
-_X_LABEL = re.compile(r"x(\d+)")
 
-
-def point_key(p: Point):
-    """Total order on points: integers, then x-labels by index, then the rest."""
-    if isinstance(p, int):
-        return (0, p, "")
-    if isinstance(p, str):
-        m = _X_LABEL.fullmatch(p)
-        if m:
-            return (1, int(m.group(1)), "")
-        return (2, 0, p)
-    return (3, 0, repr(p))
-
-
-def is_infinite(p: Point) -> bool:
-    return isinstance(p, str) and _X_LABEL.fullmatch(p) is not None
-
-
-def pair(p: Point, q: Point) -> tuple:
-    """Unordered pair as a sorted 2-tuple (stable under point_key)."""
-    if point_key(p) <= point_key(q):
-        return (p, q)
-    return (q, p)
+def pair(p: int, q: int) -> tuple:
+    """Unordered pair as a sorted 2-tuple."""
+    return (p, q) if p <= q else (q, p)
 
 
 def block_forms(block: Block) -> tuple:
@@ -66,13 +47,9 @@ def block_forms(block: Block) -> tuple:
     return ((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
 
 
-def block_sort_key(block: Block):
-    return tuple(point_key(p) for p in block)
-
-
 def canonical_block(block: Block) -> Block:
     """Least of the four equivalent forms of a block."""
-    return min(block_forms(block), key=block_sort_key)
+    return min(block_forms(block))
 
 
 def block_pairs(block: Block) -> list:
@@ -238,33 +215,27 @@ def is_feasible(n: int, u: int) -> FeasibilityReport:
 class HoleStructure:
     """A partition of the point set into nonempty, pairwise disjoint holes."""
 
-    def __init__(self, holes: Iterable[Iterable[Point]]):
-        normalized = []
-        hole_of = {}
-        for idx, hole in enumerate(holes):
-            pts = tuple(sorted(hole, key=point_key))
-            if not pts:
-                raise ValueError("empty hole")
-            for p in pts:
-                if p in hole_of:
-                    raise ValueError(f"point {p!r} appears in two holes")
-                hole_of[p] = idx
-            normalized.append(pts)
-        if not normalized:
+    def __init__(self, holes: Iterable[Iterable[int]]):
+        # deterministic hole order: by (size, points)
+        self.holes = tuple(sorted((tuple(sorted(hole)) for hole in holes), key=lambda h: (len(h), h)))
+        if not self.holes:
             raise ValueError("a hole structure needs at least one hole")
-        # deterministic hole order: by (size, least point)
-        order = sorted(range(len(normalized)), key=lambda i: (len(normalized[i]), block_sort_key(normalized[i])))
-        self.holes = tuple(normalized[i] for i in order)
+        if not self.holes[0]:  # an empty hole sorts first
+            raise ValueError("empty hole")
         self._hole_of = {}
         for idx, hole in enumerate(self.holes):
             for p in hole:
+                if not isinstance(p, int):
+                    raise ValueError(f"point {p!r} is not an integer")
+                if p in self._hole_of:
+                    raise ValueError(f"point {p!r} appears in two holes")
                 self._hole_of[p] = idx
-        self.points = tuple(sorted(hole_of, key=point_key))
+        self.points = tuple(sorted(self._hole_of))
 
-    def hole_of(self, p: Point) -> int:
+    def hole_of(self, p: int) -> int:
         return self._hole_of[p]
 
-    def same_hole(self, p: Point, q: Point) -> bool:
+    def same_hole(self, p: int, q: int) -> bool:
         return self._hole_of[p] == self._hole_of[q]
 
     def type(self) -> TypeSpec:
@@ -285,13 +256,16 @@ class HoleStructure:
 
 
 class Design:
-    """A hole structure plus a block list (blocks stored canonically sorted)."""
+    """A hole structure plus a block list (blocks stored canonically sorted).
 
-    def __init__(self, holes, blocks: Iterable[Block]):
+    Points from `label_base` on are the long-hole points a file writes as
+    "x1", "x2", ...; None means every point is written as a number.
+    """
+
+    def __init__(self, holes, blocks: Iterable[Block], label_base: Optional[int] = None):
         self.structure = holes if isinstance(holes, HoleStructure) else HoleStructure(holes)
-        self.blocks = tuple(
-            sorted((canonical_block(tuple(b)) for b in blocks), key=block_sort_key)
-        )
+        self.blocks = tuple(sorted(canonical_block(tuple(b)) for b in blocks))
+        self.label_base = label_base
 
     @property
     def holes(self) -> tuple:
@@ -310,10 +284,11 @@ class Design:
             isinstance(other, Design)
             and self.structure == other.structure
             and self.blocks == other.blocks
+            and self.label_base == other.label_base
         )
 
     def __hash__(self):
-        return hash((self.structure, self.blocks))
+        return hash((self.structure, self.blocks, self.label_base))
 
     def __repr__(self):
         return f"Design({self.type}, {len(self.blocks)} blocks)"
@@ -414,8 +389,7 @@ def _first_missing_pairs(st: HoleStructure, covered: Counter, limit: int) -> lis
 def relabel(design: Design, mapping=None) -> Design:
     """Rename points.  Default mapping: integers 0..P-1 in hole order.
 
-    Constructions produce compound points (tuples); this flattens them so
-    the result can be serialized and compared.
+    The result carries no labels: every point is written as a number.
     """
     if mapping is None:
         mapping = {}

@@ -1,10 +1,11 @@
 """Cyclic development of starter blocks over Z_g with fixed infinite points.
 
-A starter set for type h^n u^1 lives on Z_g (g = h*n) plus u labels
-"x1".."xu".  The cyclic holes are {i, i+n, ..., i+(h-1)n} for 0 <= i < n,
-and the labels form the long hole.  Developing means adding the step to
-every finite entry of every starter, modulo g, until the blocks repeat
-(up to block equivalence, so some starters have short orbits).
+A starter set for type h^n u^1 lives on Z_g (g = h*n) plus u fixed
+points, the integers g..g+u-1 (written "x1".."xu" in files).  The cyclic
+holes are {i, i+n, ..., i+(h-1)n} for 0 <= i < n, and the fixed points
+form the long hole.  Developing means adding the step to every entry
+below g of every starter, modulo g, until the blocks repeat (up to block
+equivalence, so some starters have short orbits).
 
 For step 1 there is an arithmetic shortcut, `difference_census`: a starter
 set develops into a valid design exactly when, in every color, the signed
@@ -23,22 +24,23 @@ from hsd.core import (
     Design,
     TypeSpec,
     block_pairs,
-    block_sort_key,
     canonical_block,
-    is_infinite,
     uniform_type,
 )
 
 
 @dataclass(frozen=True)
 class StarterSet:
-    """Starters plus the geometry needed to develop them."""
+    """Starters plus the geometry needed to develop them.
+
+    The u long-hole points are modulus, modulus+1, ..., modulus+u-1.
+    """
 
     modulus: int
     hole_size: int
     step: int
-    infinite: tuple  # x-labels, the long hole (may be empty)
-    starters: tuple  # blocks over Z_modulus and the labels
+    u: int  # size of the long hole (may be 0)
+    starters: tuple  # blocks over Z_modulus and the long-hole points
 
     def __post_init__(self):
         g, h = self.modulus, self.hole_size
@@ -46,26 +48,18 @@ class StarterSet:
             raise ValueError(f"modulus {g} is not a multiple of hole size {h}")
         if self.step < 1 or g % self.step:
             raise ValueError(f"step {self.step} does not divide modulus {g}")
-        labels = set(self.infinite)
-        if len(labels) != len(self.infinite):
-            raise ValueError("repeated infinite label")
+        if self.u < 0:
+            raise ValueError(f"negative long hole size {self.u}")
         for blk in self.starters:
             if len(blk) != 4:
                 raise ValueError(f"starter {blk!r} does not have 4 entries")
             for p in blk:
-                if is_infinite(p):
-                    if p not in labels:
-                        raise ValueError(f"starter {blk!r} uses undeclared label {p}")
-                elif not isinstance(p, int) or not (0 <= p < g):
-                    raise ValueError(f"starter entry {p!r} outside Z_{g}")
+                if not isinstance(p, int) or not (0 <= p < g + self.u):
+                    raise ValueError(f"starter entry {p!r} outside Z_{g} plus {self.u} fixed points")
 
     @property
     def n(self) -> int:
         return self.modulus // self.hole_size
-
-    @property
-    def u(self) -> int:
-        return len(self.infinite)
 
     @property
     def type(self) -> TypeSpec:
@@ -74,8 +68,8 @@ class StarterSet:
     def holes(self) -> list:
         g, n, h = self.modulus, self.n, self.hole_size
         out = [[i + j * n for j in range(h)] for i in range(n)]
-        if self.infinite:
-            out.append(list(self.infinite))
+        if self.u:
+            out.append(list(range(g, g + self.u)))
         return out
 
     def same_hole_differences(self) -> set:
@@ -85,7 +79,8 @@ class StarterSet:
 
 
 def shift_block(block, amount: int, modulus: int):
-    return tuple(p if is_infinite(p) else (p + amount) % modulus for p in block)
+    """Shift the entries below modulus; the long-hole points stay fixed."""
+    return tuple(p if p >= modulus else (p + amount) % modulus for p in block)
 
 
 def orbit(block, modulus: int, step: int = 1) -> list:
@@ -121,7 +116,7 @@ def develop(ss: StarterSet) -> Design:
     blocks = []
     for starter in ss.starters:
         blocks.extend(orbit(starter, ss.modulus, ss.step))
-    return Design(ss.holes(), blocks)
+    return Design(ss.holes(), blocks, label_base=ss.modulus if ss.u else None)
 
 
 @dataclass
@@ -140,8 +135,8 @@ def difference_census(ss: StarterSet, max_errors: int = 8) -> CensusReport:
 
     In every color the finite pairs of the starters must realize each
     difference in Z_g minus the hole differences exactly once (counting a
-    pair {p, q} as both p-q and q-p), and each label must appear in
-    exactly one starter.  For step 1 this is equivalent to developing and
+    pair {p, q} as both p-q and q-p), and each long-hole point must appear
+    in exactly one starter.  For step 1 this is equivalent to developing and
     verifying the design; larger steps need the real expansion and are
     refused here.
     """
@@ -162,20 +157,20 @@ def difference_census(ss: StarterSet, max_errors: int = 8) -> CensusReport:
         if len(set(starter)) != 4:
             note(f"starter {starter!r} repeats an entry")
             continue
-        labels_here = [p for p in starter if is_infinite(p)]
+        labels_here = [p for p in starter if p >= g]
         if len(labels_here) > 1:
             note(f"starter {starter!r} holds two long-hole points")
         for lab in labels_here:
             label_seen[lab] += 1
         for (p, q), color in block_pairs(starter):
-            if is_infinite(p) or is_infinite(q):
+            if q >= g:  # p <= q, so a long-hole point is q
                 continue
             per_color[color][(p - q) % g] += 1
             per_color[color][(q - p) % g] += 1
 
-    for lab in ss.infinite:
+    for lab in range(g, g + ss.u):
         if label_seen[lab] != 1:
-            note(f"label {lab} appears in {label_seen[lab]} starters, wants 1")
+            note(f"long-hole point {lab} appears in {label_seen[lab]} starters, wants 1")
 
     for color in COLORS:
         got = per_color[color]

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hsd.core import Design, canonical_block, point_key
+from hsd.core import Design, canonical_block
 
 
 class Quasigroup:
     """Finite binary operation given by an explicit table."""
 
     def __init__(self, elements, table):
-        self.elements = tuple(sorted(elements, key=point_key))
+        self.elements = tuple(sorted(elements))
         self.table = dict(table)
         self._index = {e: i for i, e in enumerate(self.elements)}
         for (x, y), z in self.table.items():

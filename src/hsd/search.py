@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from hsd.core import COLORS, Design, TypeSpec, block_pairs, block_sort_key, pair, point_key
+from hsd.core import COLORS, Design, TypeSpec, block_pairs, pair
 from hsd.development import StarterSet, develop, orbit
 
 FOUND = "found"
@@ -177,10 +177,10 @@ def _candidates(holes: list):
     Returns (item_id, blocks, items): item_id numbers every (cross pair,
     color) slot, and each candidate block, on four distinct holes with its
     least point first in each of the six orders of the other three, comes
-    with the item numbers it covers.  Points are taken in point_key order.
+    with the item numbers it covers.  Points are taken in increasing order.
     """
     hole_of = {p: hi for hi, hole in enumerate(holes) for p in hole}
-    points = sorted(hole_of, key=point_key)
+    points = sorted(hole_of)
 
     item_id = {}
     for p, q in combinations(points, 2):
@@ -356,16 +356,15 @@ def search_orbits(
     g = hole_size * n
     if not 0 < step <= g or g % step:
         raise ValueError(f"step {step} does not divide the modulus {g}")
-    labels = tuple(f"x{i + 1}" for i in range(u))
     holes = [[i + j * n for j in range(hole_size)] for i in range(n)]
-    if labels:
-        holes.append(list(labels))
+    if u:
+        holes.append(list(range(g, g + u)))
     item_id, cand_blocks, _ = _candidates(holes)
     starters, orbit_items = [], []
     seen = set()
     for blk in cand_blocks:
         orb = orbit(blk, g, step)
-        rep = min(orb, key=block_sort_key)
+        rep = min(orb)
         if rep in seen:
             continue
         seen.add(rep)
@@ -385,8 +384,8 @@ def search_orbits(
             modulus=g,
             hole_size=hole_size,
             step=step,
-            infinite=labels,
-            starters=tuple(sorted((starters[ci] for ci in picked), key=block_sort_key)),
+            u=u,
+            starters=tuple(sorted(starters[ci] for ci in picked)),
         )
         design = develop(ss)
     return SearchResult(
@@ -422,7 +421,6 @@ def search_starters(
 
     reps = [d for d in range(1, g // 2 + 1) if d not in same and d != g - d]
     unc = {c: set(reps) for c in COLORS}
-    labels = [f"x{i + 1}" for i in range(u)]
     budget = Budget(time_limit, node_limit)
     rng = random.Random(seed)
     chosen: list = []
@@ -477,7 +475,7 @@ def search_starters(
             for r in c3:
                 unc[3].remove(r)
             if p3 is None:
-                block = (0, p2, labels[len(labels) - labels_left], p4)
+                block = (0, p2, g + u - labels_left, p4)
                 chosen.append(block)
                 status = descend(labels_left - 1)
             else:
@@ -505,7 +503,7 @@ def search_starters(
             modulus=g,
             hole_size=hole_size,
             step=1,
-            infinite=tuple(labels),
+            u=u,
             starters=tuple(chosen),
         )
     return SearchResult(status, starter_set=ss, nodes=budget.nodes, elapsed=budget.elapsed)

@@ -1,5 +1,6 @@
 """Command-line surface: wording, exit statuses, pipelines, determinism."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,8 @@ def test_develop_verify_pipeline(tmp_path, capsys):
     code, _, err = run(capsys, "develop", str(starter), "-o", str(out_file))
     assert code == 0
     assert "105 blocks" in err
+
+    assert "hole: x1\n" in out_file.read_text()
 
     code, out, _ = run(capsys, "verify", str(out_file))
     assert code == 0
@@ -257,6 +260,16 @@ def test_convert_quasigroup(tmp_path, capsys):
     assert grid[1][1] == "."  # hole-interior cells print as dots
     assert grid[1][2] == "2"  # 0 * 1 from the first block
 
+    # a developed starter keeps its long-hole label in the table
+    f = tmp_path / "ex21.starter"
+    f.write_text(catalog_get("Ex2.1").text())
+    code, out, err = run(capsys, "convert", "quasigroup", str(f))
+    assert code == 0
+    assert "frame check: PASS" in err
+    grid = [line.split() for line in out.strip().splitlines()]
+    assert grid[0][-1] == "x1" and grid[-1][0] == "x1"
+    assert grid[1][21] == "x1"  # 0 * 20 = x1, from the developed starter 0 1 5 x1
+
 
 # --- error handling ------------------------------------------------------------
 
@@ -280,12 +293,22 @@ def test_missing_file_reports_usage_error(capsys):
 
 # --- console script and stdin plumbing -------------------------------------------
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env_with_src():
+    """The environment with src/ on PYTHONPATH, so subprocesses import this hsd."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_console_script_pipeline(tmp_path):
     starter = tmp_path / "p.starter"
     starter.write_text(catalog_get("Ex2.1").text())
     pipeline = f"{sys.executable} -m hsd.cli develop - < {starter} | {sys.executable} -m hsd.cli verify -"
     proc = subprocess.run(
-        ["sh", "-c", pipeline], capture_output=True, text=True, timeout=120
+        ["sh", "-c", pipeline], capture_output=True, text=True, timeout=120,
+        env=_env_with_src(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PASS")
@@ -293,12 +316,12 @@ def test_console_script_pipeline(tmp_path):
 
 def test_console_script_entry_point():
     # the installed `hsd` script and `python -m hsd` both call hsd.cli:main
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     assert 'hsd = "hsd.cli:main"' in scripts.splitlines()
     proc = subprocess.run(
         [sys.executable, "-m", "hsd", "feasible", "8", "2"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=_env_with_src(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "feasible, expected 150 blocks\n"

@@ -26,8 +26,8 @@ def _starter(key):
 def test_starter_set_shape():
     ss = _starter("Ex2.1")
     assert ss.modulus == 21 and ss.step == 1
-    assert ss.infinite == ("x1",)
     assert ss.n == 7 and ss.u == 1
+    assert ss.holes()[-1] == [21]  # x1 is the point just past Z_21
     assert ss.type == parse_type("3^7 1^1")
     assert len(ss.holes()) == 8
 
@@ -39,7 +39,7 @@ def test_same_hole_differences():
 
 
 def test_shift_block_fixes_labels():
-    assert shift_block((0, 1, "x1", 5), 4, 21) == (4, 5, "x1", 9)
+    assert shift_block((0, 1, 21, 5), 4, 21) == (4, 5, 21, 9)
     assert shift_block((20, 0, 1, 2), 1, 21) == (0, 1, 2, 3)
 
 
@@ -88,11 +88,11 @@ def test_develop_counts_short_orbits_once():
 
 def test_starter_set_validation():
     with pytest.raises(ValueError):
-        StarterSet(modulus=12, hole_size=3, step=5, infinite=(), starters=((0, 1, 2, 3),))
-    with pytest.raises(ValueError):  # x2 is not declared
-        StarterSet(modulus=21, hole_size=3, step=1, infinite=("x1",), starters=((0, 1, 2, "x2"),))
+        StarterSet(modulus=12, hole_size=3, step=5, u=0, starters=((0, 1, 2, 3),))
+    with pytest.raises(ValueError):  # 22 would be x2, but the long hole has one point
+        StarterSet(modulus=21, hole_size=3, step=1, u=1, starters=((0, 1, 2, 22),))
     with pytest.raises(ValueError):  # 30 is outside Z_21
-        StarterSet(modulus=21, hole_size=3, step=1, infinite=(), starters=((0, 1, 2, 30),))
+        StarterSet(modulus=21, hole_size=3, step=1, u=0, starters=((0, 1, 2, 30),))
 
 
 def test_census_passes_on_step_one_starters():
@@ -126,7 +126,7 @@ def test_census_matches_develop_verdict_on_mutations():
             modulus=base.modulus,
             hole_size=base.hole_size,
             step=base.step,
-            infinite=base.infinite,
+            u=base.u,
             starters=tuple(tuple(s) for s in starters),
         )
         census_ok = difference_census(ss).ok
@@ -137,8 +137,8 @@ def test_census_matches_develop_verdict_on_mutations():
 @given(st.integers(1, 30), st.integers(0, 200))
 def test_orbit_closes_property(mult, start):
     g = 4 * mult
-    b = (start % g, (start + 1) % g, (start + 2) % g, "x1")
+    b = (start % g, (start + 1) % g, (start + 2) % g, g)  # g is the fixed point x1
     blks = orbit(b, g, 1)
     # shifting by the full modulus returns to the start
-    assert shift_block(b, g, g) == tuple(p if p == "x1" else p % g for p in b)
+    assert shift_block(b, g, g) == b
     assert len(blks) == orbit_length(b, g, 1)

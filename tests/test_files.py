@@ -66,11 +66,47 @@ def test_comment_lines_are_ignored():
 
 
 def test_serialize_rejects_compound_points():
-    # constructions relabel their outputs, but a hand-built design with
-    # tuple points must be refused rather than written unreadably
-    d = Design([[(0, 0), (0, 1)], [(1, 0), (1, 1)]], [])
+    # points are integers; a hand-built design with tuple points must be
+    # refused rather than written unreadably
     with pytest.raises(ValueError):
-        serialize_design(d)
+        serialize_design(Design([[(0, 0), (0, 1)], [(1, 0), (1, 1)]], []))
+
+
+EX21 = catalog_get("Ex2.1").text()
+
+
+@pytest.mark.parametrize("form", ["x_1", "x_{1}", "x{1}"])
+def test_label_forms_read_as_x1(form):
+    ss = parse_starter(EX21.replace("starter: 0 1 5 x1", f"starter: 0 1 5 {form}"))
+    assert ss == parse_starter(EX21)
+    assert ss.starters[0] == (0, 1, 5, 21)  # x1 over Z_21 is the point 21
+
+
+@pytest.mark.parametrize("form", ["x{1", "x1}", "x_{1", "x0", "x01"])
+def test_malformed_label_is_rejected(form):
+    with pytest.raises(ValueError, match="bad point token"):
+        parse_starter(EX21.replace("starter: 0 1 5 x1", f"starter: 0 1 5 {form}"))
+
+
+@pytest.mark.parametrize("entry", ["x2", "21", "-1"])
+def test_starter_entry_outside_z_g_and_x1_to_xu_is_rejected(entry):
+    # 21 would collide with the point that x1 stands for
+    with pytest.raises(ValueError, match=f"entry {entry} outside Z_21 and x1..x1"):
+        parse_starter(EX21.replace("starter: 0 1 5 x1", f"starter: 0 1 5 {entry}"))
+
+
+@pytest.mark.parametrize("line", ["infinite: x2", "infinite: x1 x1", "infinite: 7"])
+def test_infinite_line_must_list_x1_to_xu(line):
+    with pytest.raises(ValueError, match="must list the labels x1..x"):
+        parse_starter(EX21.replace("infinite: x1", line))
+
+
+def test_design_labels_start_past_the_largest_integer():
+    d = catalog_get("A1/3^8 1^1").design()
+    assert d.label_base == 24 and d.holes[0] == (24,)
+    text = serialize_design(d)
+    assert "hole: x1\n" in text
+    assert parse_design(text) == d
 
 
 def test_parse_design_rejects_malformed_input():

@@ -8,6 +8,7 @@ import pytest
 from hsd.catalog import catalog_get
 from hsd.core import Design, expected_block_count, parse_type, verify_design
 from hsd.development import develop
+from hsd.files import serialize_design, serialize_starter
 from hsd.search import (
     FOUND,
     NONE,
@@ -125,22 +126,24 @@ def test_search_result_truthiness():
     assert not bool(search_direct(parse_type("1^5")))
 
 
-# (search, type or (n, u, step), seed, limit) -> (status, nodes, sha256 of
-# repr(design.blocks)); limit is node_limit, or iter_limit for climb.  A
-# change to the candidate builder or the exact-cover engine must reproduce
-# every row, so that seeds named in recipes and catalog notes still replay.
+# (search, type or (n, u) or (n, u, step), seed, limit) -> (status, nodes,
+# sha256 of the serialized design, or of the serialized starter set for
+# "starters"); limit is node_limit, or iter_limit for climb.  A change to
+# the candidate builder or the exact-cover engine must reproduce every row,
+# so that seeds named in recipes and catalog notes still replay.
 FROZEN_SEARCHES = {
-    ("direct", "1^4", 0, None): (FOUND, 3, "abbc7e9d315a3d7f508cde05bedcac2bd23cf1b3c1ded29dd0087c77d7951d5a"),
-    ("direct", "3^4", 5, None): (FOUND, 29, "9b9460c32efda051f21e2997faf956681b075f1bbe0cf11f0bd7018688179f86"),
+    ("direct", "1^4", 0, None): (FOUND, 3, "2b4b046adb07fb0bd1c4eae639e1d0f75f9cd8c439e3a364333e7f94425ed720"),
+    ("direct", "3^4", 5, None): (FOUND, 29, "46ad2ade3acaa0cac509c60ccd3844c5a6bfa49503711c756dc82c0b797dc39a"),
     ("direct", "1^5", 0, None): (NONE, 43, None),
     ("direct", "1^4 2^1", 0, None): (NONE, 159, None),
     ("direct", "2^4", 0, None): (NONE, 633, None),
     ("direct", "2^3 1^1", 0, None): (NONE, 49, None),
-    ("direct", "2^5", 0, None): (FOUND, 528, "5704bca187d3d30389e8230a65372aa195bb2f9c478f406a03981ba94c49a6fd"),
+    ("direct", "2^5", 0, None): (FOUND, 528, "9fc77603a73d21015e06bc4454c08f30153045bf02ba6945afe15e102dc5db65"),
     ("direct", "3^4 1^1", 0, 5): (TIMEOUT, 6, None),
-    ("orbits", (4, 1, 6), 0, None): (FOUND, 87, "95805331927ac15a1f4e7c573d43edaed48e71f9d474b4ecdca40f078f21a8c9"),
-    ("orbits", (4, 4, 4), 0, None): (FOUND, 218, "490f8ebdf4ced8cf6ce611c81dbdb1c676872c57d33613c8403870e0eecf3352"),
-    ("climb", "1^4", 0, 3000): (FOUND, 3, "abbc7e9d315a3d7f508cde05bedcac2bd23cf1b3c1ded29dd0087c77d7951d5a"),
+    ("orbits", (4, 1, 6), 0, None): (FOUND, 87, "04a687f7539c3292c7fbf25140fffcb1017c2b390b46a0eef97bc9d09ae73371"),
+    ("orbits", (4, 4, 4), 0, None): (FOUND, 218, "e05c97fc561727847b2367fab123ba9f31cff3c53dfff6210205be22fd9c41d3"),
+    ("starters", (5, 2), 0, None): (FOUND, 4, "bc8eaa1b942066be597178f9c9dc177b863b046538b05d1c479fb5d192257f98"),
+    ("climb", "1^4", 0, 3000): (FOUND, 3, "2b4b046adb07fb0bd1c4eae639e1d0f75f9cd8c439e3a364333e7f94425ed720"),
     ("climb", "1^5", 0, 3000): (TIMEOUT, 3001, None),
 }
 
@@ -153,11 +156,15 @@ def test_searches_match_frozen_results(case):
     elif kind == "orbits":
         n, u, step = arg
         res = search_orbits(n, u, step=step, seed=seed, node_limit=limit)
+    elif kind == "starters":
+        res = search_starters(*arg, seed=seed, node_limit=limit)
     else:
         res = search_climb(parse_type(arg), seed=seed, iter_limit=limit)
-    digest = None
-    if res.design is not None:
-        digest = hashlib.sha256(repr(res.design.blocks).encode()).hexdigest()
+    if kind == "starters":
+        found, serialize = res.starter_set, serialize_starter
+    else:
+        found, serialize = res.design, serialize_design
+    digest = None if found is None else hashlib.sha256(serialize(found).encode()).hexdigest()
     assert (res.status, res.nodes, digest) == FROZEN_SEARCHES[case]
 
 
