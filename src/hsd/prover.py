@@ -41,7 +41,6 @@ UNKNOWN_HERE = "UNKNOWN_HERE"
 # compete with the constructions.
 SEARCH_MAX_POINTS = 10
 SEARCH_NODES = 200_000
-SEARCH_SECONDS = 5.0
 
 DESK_MAX_POINTS = 300
 LARGE_MAX_POINTS = 1500
@@ -122,16 +121,6 @@ def _three_family(t: TypeSpec):
     return None
 
 
-def _trivial_design(t: TypeSpec) -> Design:
-    holes = []
-    at = 0
-    for size, count in t.items:
-        for _ in range(count):
-            holes.append(list(range(at, at + size)))
-            at += size
-    return Design(holes, [])
-
-
 def _g6_weights(m: int, u: int):
     """Weight vector over {4, 2, 0} of length m summing to u (u even)."""
     fours, rem = divmod(u, 4)
@@ -145,10 +134,13 @@ class Prover:
 
     One instance per job: the memo table assumes a fixed point cap, so a
     desk-scale and a large-scale query should not share an instance.
+    Searches stop after `search_nodes` nodes, so verdicts and notes do not
+    depend on machine speed; `search_seconds` adds a wall-clock limit on
+    top and is off by default.
     """
 
     def __init__(self, large: bool = False, search_nodes: int = SEARCH_NODES,
-                 search_seconds: float = SEARCH_SECONDS):
+                 search_seconds=None):
         self.max_points = LARGE_MAX_POINTS if large else DESK_MAX_POINTS
         self.search_nodes = search_nodes
         self.search_seconds = search_seconds
@@ -460,7 +452,7 @@ class Prover:
         p = dict(recipe.params)
         kids = recipe.children
         if rule == "R-TRIV":
-            return _trivial_design(recipe.target)
+            return Design([list(range(recipe.target.points))], [])  # at most one hole
         if rule == "R-CAT":
             return _catalog_design(p["id"])
         if rule == "R-SEARCH":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -72,95 +72,84 @@ class Budget:
 
 
 class ExactCover:
-    """Cover every item exactly once using the given candidate item-sets."""
+    """Cover every item exactly once using the given candidate item-sets.
+
+    Bitset Algorithm X (Knuth, TAOCP 7.2.2.1) on Python ints.  A candidate
+    is live while it shares no item with a placed one, so the whole search
+    state is two ints handed down the recursion, the open items and the
+    live candidates, and backtracking has nothing to undo.
+
+    The branching rule is fixed, because frozen search results and
+    catalog notes replay through it.  At each node: return "found" when no
+    item is open, then count the node with `budget.tick()`.  Scan the open
+    items in ascending order; an item's count is its number of live
+    candidates, and a count of 0 returns "none".  Order "lex" branches on
+    the first open item (still scanning all of them for a 0), "mrv" on the
+    first item of least count, stopping the scan at a count of 1.  The
+    options are that item's live candidates in ascending index, shuffled
+    by `rng` when one is given.  The first "timeout" below ends the node.
+    """
 
     def __init__(self, n_items: int, cand_items: list):
         self.cand_items = cand_items
-        self.item_cands = [[] for _ in range(n_items)]
+        self.item_mask = [0] * n_items  # bit ci set when candidate ci covers the item
         for ci, items in enumerate(cand_items):
             for it in items:
-                self.item_cands[it].append(ci)
-        self.n_items = n_items
+                self.item_mask[it] |= 1 << ci
 
     def solve(self, rng=None, budget: Optional[Budget] = None, order: str = "mrv"):
         """Returns (status, list of candidate indices or None).
 
-        order "mrv" picks the scarcest uncovered item, "lex" the lowest
+        order "mrv" picks the scarcest open item, "lex" the lowest
         numbered one; lex plus shuffled candidates behaves better on the
         denser design searches, mrv on thin ones.
         """
-        alive = bytearray([1]) * len(self.cand_items)
-        count = [len(l) for l in self.item_cands]
-        covered = bytearray(self.n_items)
         budget = budget or Budget()
-        chosen: list = []
-        uncovered = self.n_items
+        cand_items, item_mask = self.cand_items, self.item_mask
         use_mrv = order == "mrv"
+        chosen: list = []  # filled from the leaf up once a cover is found
 
-        def kill(ci, trail):
-            alive[ci] = 0
-            trail.append(ci)
-            for it in self.cand_items[ci]:
-                count[it] -= 1
-
-        def revive(ci):
-            alive[ci] = 1
-            for it in self.cand_items[ci]:
-                count[it] += 1
-
-        def place(ci):
-            nonlocal uncovered
-            trail = []
-            for it in self.cand_items[ci]:
-                covered[it] = 1
-                uncovered -= 1
-                for other in self.item_cands[it]:
-                    if alive[other]:
-                        kill(other, trail)
-            chosen.append(ci)
-            return trail
-
-        def unplace(ci, trail):
-            nonlocal uncovered
-            chosen.pop()
-            for other in reversed(trail):
-                revive(other)
-            for it in self.cand_items[ci]:
-                covered[it] = 0
-                uncovered += 1
-
-        def descend():
-            if uncovered == 0:
+        def descend(open_items, live):
+            if not open_items:
                 return FOUND
             if not budget.tick():
                 return TIMEOUT
             best, best_count = -1, None
-            for it in range(self.n_items):
-                if not covered[it]:
-                    c = count[it]
-                    if c == 0:
-                        return NONE
-                    if best_count is None or (use_mrv and c < best_count):
-                        best, best_count = it, c
-                        if use_mrv and c == 1:
-                            break
-            options = [ci for ci in self.item_cands[best] if alive[ci]]
+            rest = open_items
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                it = low.bit_length() - 1
+                c = (live & item_mask[it]).bit_count()
+                if c == 0:
+                    return NONE
+                if best_count is None or (use_mrv and c < best_count):
+                    best, best_count = it, c
+                    if use_mrv and c == 1:
+                        break
+            options = []
+            rest = live & item_mask[best]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                options.append(low.bit_length() - 1)
             if rng is not None:
                 rng.shuffle(options)
-            saw_timeout = False
             for ci in options:
-                trail = place(ci)
-                status = descend()
+                cover = clash = 0
+                for it in cand_items[ci]:
+                    cover |= 1 << it
+                    clash |= item_mask[it]
+                status = descend(open_items & ~cover, live & ~clash)
                 if status == FOUND:
-                    return FOUND  # keep placements for the caller
-                unplace(ci, trail)
+                    chosen.append(ci)
+                    return FOUND
                 if status == TIMEOUT:
-                    saw_timeout = True
-                    break
-            return TIMEOUT if saw_timeout else NONE
+                    return TIMEOUT
+            return NONE
 
-        status = descend()
-        return status, (list(chosen) if status == FOUND else None)
+        status = descend((1 << len(item_mask)) - 1, (1 << len(cand_items)) - 1)
+        return status, (chosen[::-1] if status == FOUND else None)
 
 
 def _holes_for(t: TypeSpec) -> list:
@@ -353,13 +342,9 @@ def search_orbits(
     says nothing about existence at large.  Short orbits are enumerated
     like any other candidate, so even-modulus types are fine.
     """
-    g = hole_size * n
-    if not 0 < step <= g or g % step:
-        raise ValueError(f"step {step} does not divide the modulus {g}")
-    holes = [[i + j * n for j in range(hole_size)] for i in range(n)]
-    if u:
-        holes.append(list(range(g, g + u)))
-    item_id, cand_blocks, _ = _candidates(holes)
+    geometry = StarterSet(modulus=hole_size * n, hole_size=hole_size, step=step, u=u, starters=())
+    g = geometry.modulus
+    item_id, cand_blocks, _ = _candidates(geometry.holes())
     starters, orbit_items = [], []
     seen = set()
     for blk in cand_blocks:
@@ -380,13 +365,7 @@ def search_orbits(
     design = None
     ss = None
     if status == FOUND:
-        ss = StarterSet(
-            modulus=g,
-            hole_size=hole_size,
-            step=step,
-            u=u,
-            starters=tuple(sorted(starters[ci] for ci in picked)),
-        )
+        ss = replace(geometry, starters=tuple(sorted(starters[ci] for ci in picked)))
         design = develop(ss)
     return SearchResult(
         status, design=design, starter_set=ss, nodes=budget.nodes, elapsed=budget.elapsed

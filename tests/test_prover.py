@@ -1,9 +1,11 @@
 """Existence prover: rule chain, materialization, and the bounded table."""
 
+import itertools
 import random
 
 import pytest
 
+from hsd import search
 from hsd.core import expected_block_count, is_feasible, parse_type, uniform_type, verify_design
 from hsd.prover import (
     EXISTS,
@@ -135,8 +137,18 @@ def test_trivial_types(prover):
         assert out.verdict == EXISTS
         assert out.recipe.rule == "R-TRIV"
         d = prover.materialize(out.recipe)
+        assert d.type == parse_type(text)
         assert len(d.blocks) == 0
         assert verify_design(d).ok
+
+
+def test_default_prover_bounds_searches_by_nodes_only(monkeypatch):
+    # a clock that jumps 1000 s per reading must not cut the search short
+    clock = itertools.count(step=1000.0)
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+    out = Prover(search_nodes=1000).resolve(parse_type("1^7"))
+    assert out.verdict == UNKNOWN_HERE
+    assert out.notes == ("search hit its budget (1001 nodes)",)
 
 
 def test_recipes_are_deterministic_across_instances():

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hsd.catalog import catalog_get
 from hsd.core import Design, expected_block_count, parse_type, verify_design
@@ -49,6 +50,114 @@ def test_exact_cover_respects_budget():
     rows = [(i,) for i in range(6)] + [(i, (i + 1) % 6) for i in range(6)]
     status, _ = ExactCover(6, rows).solve(budget=Budget(node_limit=1))
     assert status == TIMEOUT
+
+
+def _instance(seed):
+    """A small seeded exact-cover instance; even seeds hide a cover."""
+    rng = random.Random(seed)
+    n_items = rng.randint(6, 12)
+    n_cands = rng.randint(12, 20)
+    cands = []
+    if seed % 2 == 0:
+        items = list(range(n_items))
+        rng.shuffle(items)
+        while items:
+            k = rng.randint(1, 3)
+            cands.append(tuple(sorted(items[:k])))
+            items = items[k:]
+    while len(cands) < n_cands:
+        cands.append(tuple(sorted(rng.sample(range(n_items), rng.randint(1, 3)))))
+    rng.shuffle(cands)
+    return n_items, cands
+
+
+def _solve(n_items, cands, seed, order):
+    budget = Budget()
+    status, chosen = ExactCover(n_items, cands).solve(random.Random(seed), budget, order)
+    return status, budget.nodes, None if chosen is None else tuple(chosen)
+
+
+# seed of `_instance` -> (status, nodes, chosen) in order "lex", then "mrv",
+# solved with random.Random(seed).  These pin the branching rule in the
+# `ExactCover` docstring: which item is chosen, the order of its options
+# and where the node count ticks.
+FROZEN_INSTANCES = {
+    0: ((FOUND, 7, (0, 6, 16, 5, 15)), (FOUND, 5, (0, 15, 6, 16, 5))),
+    1: ((FOUND, 6, (2, 3, 6, 8, 9, 11)), (FOUND, 5, (3, 10, 9, 6, 12))),
+    2: ((FOUND, 8, (3, 6, 2, 0, 10)), (FOUND, 5, (6, 2, 0, 3, 11))),
+    3: ((FOUND, 5, (7, 12, 5, 10, 9)), (FOUND, 5, (7, 8, 13, 2, 6))),
+    4: ((FOUND, 6, (13, 5, 10, 0)), (FOUND, 4, (10, 9, 4, 14))),
+    5: ((NONE, 1, None), (NONE, 1, None)),
+    6: ((FOUND, 8, (6, 1, 11, 2, 10, 3)), (FOUND, 6, (11, 3, 6, 1, 2, 10))),
+    7: ((NONE, 1, None), (NONE, 1, None)),
+    8: ((FOUND, 4, (10, 3, 8, 12)), (FOUND, 8, (7, 6, 11, 8, 4))),
+    9: ((FOUND, 12, (14, 4, 15, 9)), (FOUND, 6, (15, 14, 9, 4))),
+    10: ((FOUND, 7, (11, 4, 0, 2, 6, 10)), (FOUND, 5, (11, 0, 4, 6, 3))),
+    11: ((FOUND, 8, (7, 15, 9, 8)), (FOUND, 5, (2, 5, 18, 6, 17))),
+    12: ((FOUND, 13, (7, 4, 10, 3, 0)), (FOUND, 8, (7, 4, 3, 10, 6))),
+    13: ((FOUND, 5, (13, 15, 12, 6)), (FOUND, 4, (15, 6, 2, 8))),
+    14: ((FOUND, 5, (18, 14, 5, 17, 2)), (FOUND, 3, (19, 4, 10))),
+    15: ((NONE, 10, None), (NONE, 2, None)),
+    16: ((FOUND, 5, (0, 14, 2)), (FOUND, 5, (17, 18, 3))),
+    17: ((FOUND, 6, (6, 3, 9, 16, 15)), (FOUND, 5, (6, 9, 3, 16, 2))),
+    18: ((FOUND, 4, (9, 6, 3, 0)), (FOUND, 4, (9, 6, 3, 0))),
+    19: ((NONE, 1, None), (NONE, 2, None)),
+    20: ((FOUND, 5, (13, 9, 8, 11, 10)), (FOUND, 6, (8, 13, 10, 11, 5, 6))),
+    21: ((NONE, 8, None), (NONE, 12, None)),
+    22: ((FOUND, 4, (14, 6, 0)), (FOUND, 3, (14, 0, 6))),
+    23: ((NONE, 1, None), (NONE, 1, None)),
+    24: ((FOUND, 7, (9, 12, 16, 15, 5, 4)), (FOUND, 5, (9, 2, 12, 16, 5))),
+    25: ((NONE, 7, None), (NONE, 8, None)),
+    26: ((FOUND, 7, (6, 4, 2, 14, 0, 7)), (FOUND, 6, (6, 4, 14, 0, 10, 7))),
+    27: ((FOUND, 14, (4, 0, 6, 11, 12, 3)), (FOUND, 6, (11, 6, 12, 0, 3, 4))),
+    28: ((FOUND, 4, (5, 10, 1)), (FOUND, 5, (5, 13, 10))),
+    29: ((NONE, 1, None), (NONE, 3, None)),
+    30: ((FOUND, 7, (5, 12, 3, 15)), (FOUND, 6, (3, 11, 6, 1, 0, 15))),
+    31: ((FOUND, 4, (11, 7, 4, 5)), (FOUND, 4, (4, 11, 17, 10))),
+    32: ((FOUND, 5, (8, 11, 1, 7)), (FOUND, 3, (14, 5, 10))),
+    33: ((NONE, 5, None), (NONE, 4, None)),
+    34: ((FOUND, 6, (9, 14, 10, 6, 5, 7)), (FOUND, 6, (5, 0, 6, 16, 2))),
+    35: ((FOUND, 9, (14, 2, 16, 3)), (FOUND, 4, (3, 2, 16, 14))),
+    36: ((FOUND, 6, (4, 10, 11, 6)), (FOUND, 4, (4, 11, 10, 6))),
+    37: ((NONE, 1, None), (NONE, 2, None)),
+    38: ((FOUND, 8, (8, 12, 14, 1, 7)), (FOUND, 5, (7, 12, 14, 8, 1))),
+    39: ((FOUND, 5, (12, 15, 6, 1)), (FOUND, 4, (12, 15, 1, 6))),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_INSTANCES))
+def test_exact_cover_matches_frozen_instances(seed):
+    n_items, cands = _instance(seed)
+    got = tuple(_solve(n_items, cands, seed, order) for order in ("lex", "mrv"))
+    assert got == FROZEN_INSTANCES[seed]
+
+
+def _has_cover(n_items, cands):
+    # every union of pairwise disjoint candidates, as an item mask
+    unions = {0}
+    for items in cands:
+        mask = sum(1 << it for it in items)
+        unions |= {u | mask for u in unions if not u & mask}
+    return (1 << n_items) - 1 in unions
+
+
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4).map(sorted),
+                 max_size=20),
+    )),
+    st.integers(0, 2**16),
+    st.sampled_from(["lex", "mrv"]),
+)
+def test_exact_cover_agrees_with_brute_force(instance, seed, order):
+    n_items, cands = instance
+    status, chosen = ExactCover(n_items, cands).solve(random.Random(seed), order=order)
+    assert status in (FOUND, NONE)
+    assert (status == FOUND) == _has_cover(n_items, cands)
+    if status == FOUND:
+        covered = sorted(it for ci in chosen for it in cands[ci])
+        assert covered == list(range(n_items))
 
 
 def test_search_direct_finds_small_designs():
@@ -109,6 +218,12 @@ def test_search_orbits_handles_short_orbits():
     assert verify_design(d).ok
 
 
+@pytest.mark.parametrize("step", [0, 5, 24])
+def test_search_orbits_refuses_a_step_that_does_not_divide_the_modulus(step):
+    with pytest.raises(ValueError, match="does not divide"):
+        search_orbits(4, 1, step=step)
+
+
 def test_search_climb_finds_unit_hole_design():
     res = search_climb(parse_type("1^4"), seed=0, time_limit=10)
     assert res.status == FOUND
@@ -140,8 +255,14 @@ FROZEN_SEARCHES = {
     ("direct", "2^3 1^1", 0, None): (NONE, 49, None),
     ("direct", "2^5", 0, None): (FOUND, 528, "9fc77603a73d21015e06bc4454c08f30153045bf02ba6945afe15e102dc5db65"),
     ("direct", "3^4 1^1", 0, 5): (TIMEOUT, 6, None),
+    ("direct", "1^6", 0, None): (NONE, 565, None),
+    ("direct", "1^5 2^1", 0, None): (FOUND, 81, "c32bfeb8d25d1c4d429c9157797a5a041a996e5215d886ccdb47e9a448f92b82"),
+    ("direct", "1^7", 0, None): (NONE, 26681, None),
+    ("direct", "1^7 3^1", 0, 50000): (TIMEOUT, 50001, None),
     ("orbits", (4, 1, 6), 0, None): (FOUND, 87, "04a687f7539c3292c7fbf25140fffcb1017c2b390b46a0eef97bc9d09ae73371"),
     ("orbits", (4, 4, 4), 0, None): (FOUND, 218, "e05c97fc561727847b2367fab123ba9f31cff3c53dfff6210205be22fd9c41d3"),
+    ("orbits", (4, 0, 4), 0, None): (NONE, 535, None),
+    ("orbits", (4, 4, 4), 0, 30): (TIMEOUT, 31, None),
     ("starters", (5, 2), 0, None): (FOUND, 4, "bc8eaa1b942066be597178f9c9dc177b863b046538b05d1c479fb5d192257f98"),
     ("climb", "1^4", 0, 3000): (FOUND, 3, "2b4b046adb07fb0bd1c4eae639e1d0f75f9cd8c439e3a364333e7f94425ed720"),
     ("climb", "1^5", 0, 3000): (TIMEOUT, 3001, None),
