@@ -215,12 +215,7 @@ def verify_entry(e: CatalogEntry) -> CatalogRow:
     )
 
 
-def catalog_verify_all(progress=None) -> CatalogReport:
+def catalog_verify_all() -> CatalogReport:
     t0 = time.time()
-    rows = []
-    for e in _entries():
-        row = verify_entry(e)
-        rows.append(row)
-        if progress is not None:
-            progress(row)
+    rows = [verify_entry(e) for e in _entries()]
     return CatalogReport(rows=rows, elapsed=time.time() - t0)

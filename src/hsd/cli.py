@@ -7,9 +7,11 @@ fill (a / b), convert quasigroup.
 Conventions: `-` means stdin or stdout; results go to stdout, progress
 and diagnostics to stderr.  Exit codes: 0 for a positive result, 1 for a
 definite negative (verification failure, infeasible, search exhausted),
-2 for inconclusive outcomes (undecided cells, search budget hit), 3 for
-usage or input errors.  Randomized commands take --seed with a fixed
-default, so runs are reproducible.
+2 for inconclusive outcomes (undecided cells, search node budget hit), 3
+for usage or input errors.  Randomized commands take --seed with a fixed
+default, and searches stop on a node count (--nodes), never on the clock,
+so runs are reproducible: a search's "timeout" means its node budget ran
+out.
 """
 
 import argparse
@@ -195,20 +197,17 @@ def _split_uniform(t):
 def cmd_search(args) -> int:
     t = parse_type(args.type)
     if args.mode == "direct":
-        res = searchers.search_direct(t, seed=args.seed, time_limit=args.budget,
-                                      node_limit=args.nodes)
+        res = searchers.search_direct(t, seed=args.seed, node_limit=args.nodes)
     elif args.mode == "climb":
-        res = searchers.search_climb(t, seed=args.seed, time_limit=args.budget)
+        res = searchers.search_climb(t, seed=args.seed, node_limit=args.nodes)
     else:
         h, n, u = _split_uniform(t)
         if args.mode == "starter":
             res = searchers.search_starters(n, u, hole_size=h, seed=args.seed,
-                                            time_limit=args.budget,
                                             node_limit=args.nodes)
         else:
             res = searchers.search_orbits(n, u, hole_size=h, step=args.step,
-                                          seed=args.seed, time_limit=args.budget,
-                                          node_limit=args.nodes)
+                                          seed=args.seed, node_limit=args.nodes)
     print(f"{res.status}: {res.nodes} nodes, {res.elapsed:.2f}s", file=sys.stderr)
     if res:
         if res.starter_set is not None:
@@ -339,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--step", type=int, default=1, help="orbit step (orbits mode)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
-    p.add_argument("--nodes", type=int, default=None, help="node budget")
+    p.add_argument("--nodes", type=int, default=1_000_000,
+                   help="node budget (default 1,000,000)")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_search)
 

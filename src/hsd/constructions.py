@@ -14,13 +14,6 @@ from hsd.algebra import GDD, mols_pair
 from hsd.core import Design, TypeSpec
 
 
-def _as_supplier(inners):
-    if callable(inners):
-        return inners
-    table = dict(inners)
-    return lambda key: table[key]
-
-
 def multiply(design: Design, m: int) -> Design:
     """Blow every point up into m copies using an orthogonal square pair.
 
@@ -44,38 +37,37 @@ def multiply(design: Design, m: int) -> Design:
 def weight_inflate(gdd: GDD, weights, supply) -> Design:
     """Weighting construction over a lambda = 1 GDD.
 
-    Each point x becomes weight(x) copies; each GDD block is replaced by
+    Each point x becomes weights[x] copies; each GDD block is replaced by
     an ingredient design whose hole type is the multiset of its points'
-    nonzero weights.  `supply` maps a TypeSpec to such a design (a dict or
-    a callable); `weights` maps points to non-negative integers.
-    Groups whose weight sums to zero disappear from the result.
+    nonzero weights.  `supply` is a dict from TypeSpec to such a design;
+    `weights` is a dict from points to non-negative integers, a missing
+    point weighing 0.  Groups whose weight sums to zero disappear from the
+    result.
     """
     if gdd.lam != 1:
         raise ValueError(f"weighting needs lambda = 1, got {gdd.lam}")
-    w = dict(weights) if not callable(weights) else {p: weights(p) for p in gdd.points}
     for p in gdd.points:
-        if w.get(p, 0) < 0:
+        if weights.get(p, 0) < 0:
             raise ValueError(f"negative weight on {p!r}")
-    supply = _as_supplier(supply)
 
-    # the copies of point p are first[p] .. first[p] + w[p] - 1, numbered group by group
+    # the copies of p are first[p] .. first[p] + weights[p] - 1, numbered group by group
     first, holes, top = {}, [], 0
     for grp in gdd.groups:
         start = top
         for p in grp:
             first[p] = top
-            top += w.get(p, 0)
+            top += weights.get(p, 0)
         if top > start:
             holes.append(list(range(start, top)))
 
     blocks = []
     for blk in gdd.blocks:
-        sizes = [w.get(p, 0) for p in blk]
+        sizes = [weights.get(p, 0) for p in blk]
         positive = [s for s in sizes if s]
         if not positive:
             continue
         spec = TypeSpec.of(*positive)
-        ingredient = supply(spec)
+        ingredient = supply[spec]
         if ingredient.type != spec:
             raise ValueError(f"supplied type {ingredient.type}, block needs {spec}")
         # match ingredient holes to block points of the same weight
@@ -96,7 +88,6 @@ def weight_inflate(gdd: GDD, weights, supply) -> Design:
 
 
 def _fill(outer: Design, v: int, inner_by_size, keep_size) -> Design:
-    inner_by_size = _as_supplier(inner_by_size)
     top = outer.points[-1] + 1
     fresh = list(range(top, top + v))
     kept = None
@@ -115,7 +106,7 @@ def _fill(outer: Design, v: int, inner_by_size, keep_size) -> Design:
         if idx == kept:
             long_hole.extend(hole)
             continue
-        inner = inner_by_size(len(hole))
+        inner = inner_by_size[len(hole)]
         inner_sizes = Counter(len(h) for h in inner.holes)
         if v and not inner_sizes.get(v):
             raise ValueError(f"inner design {inner.type} lacks a hole of size {v} to share")

@@ -133,10 +133,8 @@ def parse_design(text: str) -> Design:
     return design
 
 
-def serialize_design(design: Design, comment: str = "") -> str:
+def serialize_design(design: Design) -> str:
     out = [DESIGN_MAGIC]
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
     out.append(f"type: {design.type}")
     out.append(f"points: {len(design.points)}")
     base = design.label_base
@@ -201,10 +199,8 @@ def parse_starter(text: str) -> StarterSet:
     return ss
 
 
-def serialize_starter(ss: StarterSet, comment: str = "") -> str:
+def serialize_starter(ss: StarterSet) -> str:
     out = [STARTER_MAGIC]
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
     out.append(f"type: {ss.type}")
     out.append(f"modulus: {ss.modulus}")
     out.append(f"hole-size: {ss.hole_size}")
@@ -247,10 +243,8 @@ def parse_gdd(text: str) -> GDD:
     return g
 
 
-def serialize_gdd(gdd: GDD, comment: str = "") -> str:
+def serialize_gdd(gdd: GDD) -> str:
     out = [GDD_MAGIC]
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
     out.append(f"lambda: {gdd.lam}")
     out.append(f"type: {gdd.type}")
     out.append(f"points: {len(gdd.points)}")

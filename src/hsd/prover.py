@@ -135,15 +135,17 @@ class Prover:
     One instance per job: the memo table assumes a fixed point cap, so a
     desk-scale and a large-scale query should not share an instance.
     Searches stop after `search_nodes` nodes, so verdicts and notes do not
-    depend on machine speed; `search_seconds` adds a wall-clock limit on
-    top and is off by default.
+    depend on machine speed.  `search_seconds` can do nothing: searches
+    have no clock.  It is accepted as None only because the benchmark's
+    callers still pass `search_seconds=None`; any other value raises.
     """
 
     def __init__(self, large: bool = False, search_nodes: int = SEARCH_NODES,
                  search_seconds=None):
+        if search_seconds is not None:
+            raise ValueError("searches are bounded by nodes only")
         self.max_points = LARGE_MAX_POINTS if large else DESK_MAX_POINTS
         self.search_nodes = search_nodes
-        self.search_seconds = search_seconds
         self._memo = {}
         self._busy = set()
         self._designs = {}  # TypeSpec -> verified Design
@@ -230,8 +232,7 @@ class Prover:
     def _r_search(self, t, notes):
         if t.points > SEARCH_MAX_POINTS:
             return None
-        res = search_direct(t, seed=0, time_limit=self.search_seconds,
-                            node_limit=self.search_nodes)
+        res = search_direct(t, seed=0, node_limit=self.search_nodes)
         if res:
             self._designs[t] = res.design
             return Recipe("R-SEARCH", t, (("seed", 0), ("nodes", res.nodes)))

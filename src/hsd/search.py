@@ -3,7 +3,9 @@
 `search_direct` is an exact-cover search over canonical candidate blocks:
 items are (cross pair, color) slots, every slot must be covered exactly
 once.  It is exhaustive, so status "none" is a nonexistence certificate;
-"timeout" means the budget ran out and says nothing.
+"timeout" means the node budget ran out and says nothing.  Every search
+is bounded by its node count alone, never by the clock, so the same call
+gives the same status, node count and design on any machine.
 
 `search_starters` works over Z_g at step 1 and tracks signed difference
 classes per color instead of pairs, which cuts the state down by a factor
@@ -49,10 +51,13 @@ class SearchResult:
 
 
 class Budget:
-    """Wall-clock deadline plus node counting, shared by all searches."""
+    """Node count and optional node limit, shared by all searches.
 
-    def __init__(self, time_limit=None, node_limit=None):
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
+    The limit is the only way a search stops early; the clock is read
+    for `elapsed`, which callers report, and never decides anything.
+    """
+
+    def __init__(self, node_limit=None):
         self.node_limit = node_limit
         self.nodes = 0
         self.started = time.monotonic()
@@ -60,11 +65,7 @@ class Budget:
     def tick(self) -> bool:
         """Count a node; True means keep going."""
         self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            return False
-        if self.deadline is not None and not self.nodes % 256:
-            return self.deadline > time.monotonic()
-        return True
+        return self.node_limit is None or self.nodes <= self.node_limit
 
     @property
     def elapsed(self) -> float:
@@ -188,7 +189,7 @@ def _candidates(holes: list):
     return item_id, blocks, items
 
 
-def search_direct(t: TypeSpec, seed: int = 0, time_limit=None, node_limit=None) -> SearchResult:
+def search_direct(t: TypeSpec, seed: int = 0, node_limit=None) -> SearchResult:
     """Exhaustive exact-cover search for a design of the given type.
 
     Meant for small types (say up to ~20 points); the candidate list grows
@@ -197,7 +198,7 @@ def search_direct(t: TypeSpec, seed: int = 0, time_limit=None, node_limit=None) 
     """
     holes = _holes_for(t)
     item_id, cand_blocks, cand_items = _candidates(holes)
-    budget = Budget(time_limit, node_limit)
+    budget = Budget(node_limit)
     rng = random.Random(seed)
     status, picked = ExactCover(len(item_id), cand_items).solve(rng, budget, "lex")
     design = None
@@ -206,17 +207,14 @@ def search_direct(t: TypeSpec, seed: int = 0, time_limit=None, node_limit=None) 
     return SearchResult(status, design=design, nodes=budget.nodes, elapsed=budget.elapsed)
 
 
-def search_climb(
-    t: TypeSpec,
-    seed: int = 0,
-    time_limit=None,
-    iter_limit=None,
-) -> SearchResult:
+def search_climb(t: TypeSpec, seed: int = 0, node_limit=None) -> SearchResult:
     """Stochastic design finder: min-conflict block insertion with eviction,
     plus exact-cover repair of the residue when the climb plateaus.
 
     Finds designs that stall the exhaustive search, but can never prove
-    nonexistence: the only statuses are "found" and "timeout".
+    nonexistence: the only statuses are "found" and "timeout".  The nodes
+    counted against `node_limit` are climb steps; each repair runs its own
+    exact cover of at most 30,000 nodes, which the count leaves out.
     """
     holes = _holes_for(t)
     item_id, cand_blocks, cand_items = _candidates(holes)
@@ -227,7 +225,7 @@ def search_climb(
             by_item[it].append(ci)
 
     rng = random.Random(seed)
-    budget = Budget(time_limit, iter_limit)
+    budget = Budget(node_limit)
     owner = [-1] * n_items  # covering candidate per item, -1 if none
     placed: set = set()
     missing = list(range(n_items))
@@ -300,7 +298,7 @@ def search_climb(
                     sub_cands.append(tuple(remap[jt] for jt in its))
                     sub_real.append(ci)
         status, chosen = ExactCover(len(free), sub_cands).solve(
-            random.Random(rng.randrange(1 << 30)), Budget(None, node_budget), "mrv"
+            random.Random(rng.randrange(1 << 30)), Budget(node_budget), "mrv"
         )
         if status == FOUND:
             for sci in chosen:
@@ -329,7 +327,6 @@ def search_orbits(
     hole_size: int = 3,
     step: int = 1,
     seed: int = 0,
-    time_limit=None,
     node_limit=None,
 ) -> SearchResult:
     """Exact cover at orbit granularity: candidates are whole orbits of a
@@ -359,7 +356,7 @@ def search_orbits(
         starters.append(rep)
         orbit_items.append(tuple(items))
 
-    budget = Budget(time_limit, node_limit)
+    budget = Budget(node_limit)
     rng = random.Random(seed)
     status, picked = ExactCover(len(item_id), orbit_items).solve(rng, budget, "mrv")
     design = None
@@ -382,7 +379,6 @@ def search_starters(
     u: int,
     hole_size: int = 3,
     seed: int = 0,
-    time_limit=None,
     node_limit=None,
 ) -> SearchResult:
     """Backtracking search for a step-1 starter set of type h^n u^1.
@@ -400,7 +396,7 @@ def search_starters(
 
     reps = [d for d in range(1, g // 2 + 1) if d not in same and d != g - d]
     unc = {c: set(reps) for c in COLORS}
-    budget = Budget(time_limit, node_limit)
+    budget = Budget(node_limit)
     rng = random.Random(seed)
     chosen: list = []
 

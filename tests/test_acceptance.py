@@ -180,7 +180,7 @@ def test_criterion_4_construction_certifications():
 def test_criterion_5_nonexistence_certificates():
     for text in ["1^5", "3^3 1^1"]:
         t0 = time.time()
-        res = search_direct(parse_type(text), time_limit=300)
+        res = search_direct(parse_type(text))
         elapsed = time.time() - t0
         assert res.status == NONE, f"{text}: {res.status}"
         assert elapsed < 300

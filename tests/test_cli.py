@@ -1,5 +1,6 @@
 """Command-line surface: wording, exit statuses, pipelines, determinism."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hsd import search
 from hsd.catalog import catalog_get
 from hsd.cli import main
 from hsd.core import parse_type, verify_design
@@ -217,9 +219,24 @@ def test_search_orbits_found(capsys):
 
 
 def test_search_climb_timeout(capsys):
-    code, _, err = run(capsys, "search", "climb", "--type", "1^5", "--budget", "0.3")
+    # --nodes reaches climb: the frozen climb row for 1^5 at 3000 nodes
+    code, _, err = run(capsys, "search", "climb", "--type", "1^5", "--nodes", "3000")
     assert code == 2
-    assert "timeout" in err
+    assert err.startswith("timeout: 3001 nodes")
+
+
+@pytest.mark.parametrize("argv, code, head", [
+    (("direct", "--type", "1^7"), 1, "none: 26681 nodes"),
+    (("orbits", "--type", "3^4", "--step", "4"), 1, "none: 535 nodes"),
+    (("climb", "--type", "1^5", "--nodes", "3000"), 2, "timeout: 3001 nodes"),
+], ids=["direct", "orbits", "climb"])
+def test_search_verdicts_ignore_the_clock(capsys, monkeypatch, argv, code, head):
+    # a clock that jumps 1000 s per reading must not cut a search short
+    clock = itertools.count(step=1000.0)
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+    got, _, err = run(capsys, "search", *argv)
+    assert got == code
+    assert err.startswith(head)
 
 
 # --- constructions ------------------------------------------------------------

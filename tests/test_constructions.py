@@ -73,10 +73,15 @@ def test_weight_inflate_mixed_weights():
     assert verify_design(d).ok
 
 
-def test_weight_inflate_callable_supply():
+def test_weight_inflate_dict_supply():
+    # the supply is looked up by block type: an extra entry goes unused and
+    # a missing one is a KeyError
     g = td(4, 3)
-    d = weight_inflate(g, {p: 1 for p in g.points}, lambda t: _cat("S/1^4"))
-    assert verify_design(d).ok
+    weights = {p: 1 for p in g.points}
+    supply = {parse_type("1^4"): _cat("S/1^4"), parse_type("3^4"): _cat("S/3^4")}
+    assert verify_design(weight_inflate(g, weights, supply)).ok
+    with pytest.raises(KeyError):
+        weight_inflate(g, weights, {parse_type("3^4"): _cat("S/3^4")})
 
 
 def test_weight_inflate_rejects_higher_index():
@@ -84,7 +89,7 @@ def test_weight_inflate_rejects_higher_index():
 
     g = GDD(groups=[(0, 1), (2, 3)], blocks=[(0, 2), (0, 3), (1, 2), (1, 3)], lam=2)
     with pytest.raises(ValueError):
-        weight_inflate(g, {p: 1 for p in g.points}, lambda t: _cat("S/1^4"))
+        weight_inflate(g, {p: 1 for p in g.points}, {parse_type("1^4"): _cat("S/1^4")})
 
 
 def test_fill_holes_a_with_kept_hole():

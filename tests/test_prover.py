@@ -151,6 +151,14 @@ def test_default_prover_bounds_searches_by_nodes_only(monkeypatch):
     assert out.notes == ("search hit its budget (1001 nodes)",)
 
 
+def test_search_seconds_takes_only_none():
+    with pytest.raises(ValueError, match="bounded by nodes only"):
+        Prover(search_seconds=5)
+    out = Prover(search_seconds=None).resolve(parse_type("1^5"))
+    assert out.verdict == UNKNOWN_HERE
+    assert out.notes[0].startswith("exhaustive search: no design of type 1^5 exists (43 nodes)")
+
+
 def test_recipes_are_deterministic_across_instances():
     sample = ["3^12 4^1", "3^21 8^1", "9^9 20^1", "3^16 9^1"]
     a, b = Prover(), Prover()

@@ -225,15 +225,16 @@ def test_search_orbits_refuses_a_step_that_does_not_divide_the_modulus(step):
 
 
 def test_search_climb_finds_unit_hole_design():
-    res = search_climb(parse_type("1^4"), seed=0, time_limit=10)
+    res = search_climb(parse_type("1^4"), seed=0, node_limit=3000)
     assert res.status == FOUND
     assert verify_design(res.design).ok
 
 
 def test_search_climb_never_claims_absence():
     # no design of this type exists; the climber can only time out
-    res = search_climb(parse_type("1^5"), seed=0, time_limit=0.3)
+    res = search_climb(parse_type("1^5"), seed=0, node_limit=3000)
     assert res.status == TIMEOUT
+    assert res.nodes == 3001
 
 
 def test_search_result_truthiness():
@@ -243,9 +244,9 @@ def test_search_result_truthiness():
 
 # (search, type or (n, u) or (n, u, step), seed, limit) -> (status, nodes,
 # sha256 of the serialized design, or of the serialized starter set for
-# "starters"); limit is node_limit, or iter_limit for climb.  A change to
-# the candidate builder or the exact-cover engine must reproduce every row,
-# so that seeds named in recipes and catalog notes still replay.
+# "starters"); limit is node_limit.  A change to the candidate builder or
+# the exact-cover engine must reproduce every row, so that seeds named in
+# recipes and catalog notes still replay.
 FROZEN_SEARCHES = {
     ("direct", "1^4", 0, None): (FOUND, 3, "2b4b046adb07fb0bd1c4eae639e1d0f75f9cd8c439e3a364333e7f94425ed720"),
     ("direct", "3^4", 5, None): (FOUND, 29, "46ad2ade3acaa0cac509c60ccd3844c5a6bfa49503711c756dc82c0b797dc39a"),
@@ -280,7 +281,7 @@ def test_searches_match_frozen_results(case):
     elif kind == "starters":
         res = search_starters(*arg, seed=seed, node_limit=limit)
     else:
-        res = search_climb(parse_type(arg), seed=seed, iter_limit=limit)
+        res = search_climb(parse_type(arg), seed=seed, node_limit=limit)
     if kind == "starters":
         found, serialize = res.starter_set, serialize_starter
     else:
