@@ -176,7 +176,7 @@ class CatalogReport:
 
 def verify_entry(e: CatalogEntry) -> CatalogRow:
     """Develop (if needed) and certify one entry from scratch."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     errors = []
     census = {}
     if e.kind == "gdd":
@@ -211,11 +211,11 @@ def verify_entry(e: CatalogEntry) -> CatalogRow:
         expected=e.expected_blocks,
         orbit_census=census,
         errors=errors,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
 
 def catalog_verify_all() -> CatalogReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = [verify_entry(e) for e in _entries()]
-    return CatalogReport(rows=rows, elapsed=time.time() - t0)
+    return CatalogReport(rows=rows, elapsed=time.perf_counter() - t0)

@@ -309,12 +309,63 @@ class VerificationReport:
 def verify_design(design: Design, max_errors: int = 8) -> VerificationReport:
     """Certify a design from scratch.
 
-    Checks block shape (4 points, 4 distinct holes, known points), then
-    exact coverage: every cross-hole pair once per color, nothing covered
-    twice, nothing missing.  Coverage is checked by counting, so the whole
-    run is linear in blocks + points^2 and never trusts the construction
-    that produced the design.
+    A valid design is certified in one pass over its blocks: every block
+    must hold four known points from four distinct holes, and flags its
+    six (pair, color) slots in one bytearray of P*P flags per color.  A
+    slot flagged twice fails.  With no slot flagged twice and exactly
+    `expected_block_count` blocks, the 6 * expected slots, all of them
+    cross pairs, cover every cross pair once in every color.
+
+    Any failure re-walks the blocks by counting, which writes the
+    diagnostics (at most `max_errors`): bad blocks, repeated blocks,
+    pairs covered twice or missing, and a wrong block count.  Neither
+    pass trusts the construction that produced the design.
     """
+    if _flags_each_slot_once(design):
+        n = len(design.blocks)
+        return VerificationReport(True, design.type, n, n)
+    return _verify_by_counting(design, max_errors)
+
+
+def _flags_each_slot_once(design: Design) -> bool:
+    """True when the design is valid; False on its first failure, with no
+    diagnostics."""
+    st = design.structure
+    try:
+        expected = expected_block_count(st.type())
+    except ValueError:
+        return False
+    blocks = design.blocks
+    if len(blocks) != expected:
+        return False
+    hole_of = st._hole_of
+    P = len(st.points)
+    index = None if st.points == tuple(range(P)) else {p: i for i, p in enumerate(st.points)}
+    one, two, three = bytearray(P * P), bytearray(P * P), bytearray(P * P)
+    try:
+        for blk in blocks:
+            a, b, c, d = blk
+            if len({hole_of[a], hole_of[b], hole_of[c], hole_of[d]}) != 4:
+                return False
+            if index is not None:
+                a, b, c, d = index[a], index[b], index[c], index[d]
+            ab = a * P + b if a < b else b * P + a
+            cd = c * P + d if c < d else d * P + c
+            ac = a * P + c if a < c else c * P + a
+            bd = b * P + d if b < d else d * P + b
+            ad = a * P + d if a < d else d * P + a
+            bc = b * P + c if b < c else c * P + b
+            if one[ab] or one[cd] or two[ac] or two[bd] or three[ad] or three[bc]:
+                return False
+            one[ab] = one[cd] = two[ac] = two[bd] = three[ad] = three[bc] = 1
+    except (KeyError, TypeError, ValueError):  # unknown point, a float like 3.0, not 4 entries
+        return False
+    return True
+
+
+def _verify_by_counting(design: Design, max_errors: int = 8) -> VerificationReport:
+    """The counting verifier: same verdict as `verify_design`, plus the
+    diagnostics it reports."""
     st = design.structure
     t = st.type()
     errors = []

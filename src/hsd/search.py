@@ -207,14 +207,16 @@ def search_direct(t: TypeSpec, seed: int = 0, node_limit=None) -> SearchResult:
     return SearchResult(status, design=design, nodes=budget.nodes, elapsed=budget.elapsed)
 
 
-def search_climb(t: TypeSpec, seed: int = 0, node_limit=None) -> SearchResult:
+def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult:
     """Stochastic design finder: min-conflict block insertion with eviction,
     plus exact-cover repair of the residue when the climb plateaus.
 
     Finds designs that stall the exhaustive search, but can never prove
     nonexistence: the only statuses are "found" and "timeout".  The nodes
     counted against `node_limit` are climb steps; each repair runs its own
-    exact cover of at most 30,000 nodes, which the count leaves out.
+    exact cover of at most 30,000 nodes, which the count leaves out.  The
+    limit is required: a type with no design would keep the climb going
+    forever.
     """
     holes = _holes_for(t)
     item_id, cand_blocks, cand_items = _candidates(holes)

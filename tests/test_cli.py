@@ -83,6 +83,43 @@ def test_verify_rejects_damaged_design(tmp_path, capsys):
     assert err  # at least one diagnostic line
 
 
+VERIFY_DIAGNOSTICS = {
+    "missing": (
+        "FAIL {f}: 3^7 1^1 (104 blocks)\n",
+        "  pair (0, 1) missing in color 1\n"
+        "  pair (0, 5) missing in color 2\n"
+        "  pair (0, 21) missing in color 3\n"
+        "  pair (1, 5) missing in color 3\n"
+        "  pair (1, 21) missing in color 2\n"
+        "  pair (5, 21) missing in color 1\n"
+        "  104 blocks, expected 105\n",
+    ),
+    "doubled": (
+        "FAIL {f}: 3^7 1^1 (106 blocks)\n",
+        "  block (0, 1, 5, 21) occurs more than once\n"
+        "  pair (0, 1) covered 2 times in color 1\n"
+        "  pair (5, 21) covered 2 times in color 1\n"
+        "  pair (0, 5) covered 2 times in color 2\n"
+        "  pair (1, 21) covered 2 times in color 2\n"
+        "  pair (0, 21) covered 2 times in color 3\n"
+        "  pair (1, 5) covered 2 times in color 3\n"
+        "  106 blocks, expected 105\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(VERIFY_DIAGNOSTICS))
+def test_verify_diagnostics_are_frozen(tmp_path, capsys, damage):
+    text = serialize_design(catalog_get("Ex2.1").design())
+    first = next(line for line in text.splitlines(keepends=True) if line.startswith("block: "))
+    assert first == "block: 0 1 5 x1\n"
+    f = tmp_path / "bad.design"
+    f.write_text(text.replace(first, "") if damage == "missing" else text + first)
+    code, out, err = run(capsys, "verify", str(f))
+    want_out, want_err = VERIFY_DIAGNOSTICS[damage]
+    assert (code, out, err) == (1, want_out.format(f=f), want_err)
+
+
 def test_verify_many_files_worst_status_wins(tmp_path, capsys):
     good = tmp_path / "good.design"
     good.write_text(serialize_design(catalog_get("S/1^4").design()))

@@ -1,6 +1,7 @@
 """Block algebra, type arithmetic, feasibility, and the design verifier."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -20,8 +21,11 @@ from hsd.core import (
     relabel,
     uniform_type,
     verify_design,
+    _flags_each_slot_once,
+    _verify_by_counting,
 )
 from hsd.catalog import catalog_get
+from hsd.constructions import fill_holes_a, multiply
 
 
 # --- blocks -----------------------------------------------------------------
@@ -272,6 +276,134 @@ def test_relabel_with_explicit_mapping_preserves_verification():
     perm = {p: (p * 3 + 1) % 11 for p in d.points}
     r = relabel(d, perm)
     assert verify_design(r).ok
+
+
+# --- the flag verifier against the counting verifier ------------------------
+#
+# verify_design certifies a valid design by flagging (pair, color) slots and
+# hands anything else to _verify_by_counting, which writes the diagnostics.
+# Both must give the same report on every design, valid or damaged.
+
+@lru_cache(maxsize=None)
+def _valid_designs():
+    s34 = catalog_get("S/3^4").design()
+    spread = {p: 5 * p + 3 for p in s34.points}  # points not 0..P-1
+    return (
+        catalog_get("S/1^4").design(),
+        catalog_get("Ex2.1").design(),  # long-hole point 21
+        relabel(s34, spread),
+        multiply(s34, 3),
+        fill_holes_a(catalog_get("C1/9^4 1^1").design(), 3, s34, keep_size=1),
+    )
+
+
+def _drop(holes, blocks, rng):
+    del blocks[rng.randrange(len(blocks))]
+
+
+def _duplicate(holes, blocks, rng):
+    blocks.append(rng.choice(blocks))
+
+
+def _drop_and_duplicate(holes, blocks, rng):
+    # the block count still matches; only the coverage is wrong
+    i, j = rng.sample(range(len(blocks)), 2)
+    blocks[i] = blocks[j]
+
+
+def _meet_a_hole_twice(holes, blocks, rng):
+    i = rng.randrange(len(blocks))
+    blk = list(blocks[i])
+    hole = next((h for h in holes if blk[0] in h), holes[0])  # blk[0] may be unknown
+    blk[rng.randrange(1, 4)] = rng.choice(hole)  # may repeat blk[0] itself
+    blocks[i] = tuple(blk)
+
+
+def _move_point_across_holes(holes, blocks, rng):
+    src, dst = rng.sample(range(len(holes)), 2)
+    holes[dst].append(holes[src].pop(rng.randrange(len(holes[src]))))
+    holes[:] = [h for h in holes if h]
+
+
+def _use_unknown_point(holes, blocks, rng):
+    top = max(p for h in holes for p in h)
+    i = rng.randrange(len(blocks))
+    blk = list(blocks[i])
+    blk[rng.randrange(4)] = rng.choice([-1, top + 1, top + 7])
+    blocks[i] = tuple(blk)
+
+
+def _swap_points_between_blocks(holes, blocks, rng):
+    i, j = rng.sample(range(len(blocks)), 2)
+    bi, bj = list(blocks[i]), list(blocks[j])
+    ki, kj = rng.randrange(4), rng.randrange(4)
+    bi[ki], bj[kj] = bj[kj], bi[ki]
+    blocks[i], blocks[j] = tuple(bi), tuple(bj)
+
+
+MUTATIONS = (
+    _drop,
+    _duplicate,
+    _drop_and_duplicate,
+    _meet_a_hole_twice,
+    _move_point_across_holes,
+    _use_unknown_point,
+    _swap_points_between_blocks,
+)
+
+
+def _mutated(d, mutations, seed):
+    rng = random.Random(seed)
+    holes = [list(h) for h in d.holes]
+    blocks = list(d.blocks)
+    for mutate in mutations:
+        if len(blocks) >= 2 and len(holes) >= 2:  # what every mutation needs
+            mutate(holes, blocks, rng)
+    return Design(holes, blocks)
+
+
+def _assert_verifiers_agree(d):
+    counted = _verify_by_counting(d)
+    assert verify_design(d) == counted  # verdict, counts and every message
+    assert _flags_each_slot_once(d) == counted.ok
+
+
+def test_verifiers_agree_on_valid_designs():
+    for d in _valid_designs():
+        assert _verify_by_counting(d).ok
+        _assert_verifiers_agree(d)
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__.strip("_"))
+def test_verifiers_agree_on_each_damage(mutate):
+    for d in _valid_designs():
+        for seed in range(3):
+            damaged = _mutated(d, [mutate], seed)
+            _assert_verifiers_agree(damaged)
+            if mutate is not _swap_points_between_blocks:  # a swap may change nothing
+                assert not verify_design(damaged).ok
+
+
+def test_verifiers_agree_on_parity_impossible_types():
+    s14 = catalog_get("S/1^4").design()
+    for d in (
+        Design([(0,), (1,), (2,)], []),  # 1^3: three cross pairs
+        Design([(0, 1), (2,), (3,)], s14.blocks),  # 2^1 1^2: five cross pairs
+    ):
+        with pytest.raises(ValueError):
+            expected_block_count(d.type)
+        _assert_verifiers_agree(d)
+        rep = verify_design(d)
+        assert not rep.ok and rep.expected_blocks == -1
+
+
+@given(
+    st.integers(0, 4),
+    st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_verifiers_agree_on_mutated_designs(base, mutations, seed):
+    _assert_verifiers_agree(_mutated(_valid_designs()[base], mutations, seed))
 
 
 def _random_block_fuzz(seed, cases):

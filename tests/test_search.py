@@ -237,6 +237,14 @@ def test_search_climb_never_claims_absence():
     assert res.nodes == 3001
 
 
+def test_search_climb_requires_a_node_limit():
+    # without one, a type with no design (1^5) would climb forever
+    with pytest.raises(TypeError):
+        search_climb(parse_type("1^5"))
+    with pytest.raises(TypeError):
+        search_climb(parse_type("1^5"), 0, 3000)  # keyword only
+
+
 def test_search_result_truthiness():
     assert bool(search_direct(parse_type("1^4")))
     assert not bool(search_direct(parse_type("1^5")))
