@@ -27,7 +27,7 @@ from importlib import resources
 
 from hsd.algebra import GDD, verify_gdd
 from hsd.core import Design, TypeSpec, parse_type, verify_design
-from hsd.development import StarterSet, develop, orbit
+from hsd.development import StarterSet, develop, orbit_length
 from hsd.files import parse_design, parse_gdd, parse_starter
 
 _PARSERS = {"starter": parse_starter, "design": parse_design, "gdd": parse_gdd}
@@ -190,7 +190,7 @@ def verify_entry(e: CatalogEntry) -> CatalogRow:
         obj = e.load()
         if isinstance(obj, StarterSet):
             census = dict(
-                sorted(Counter(len(orbit(s, obj.modulus, obj.step)) for s in obj.starters).items())
+                sorted(Counter(orbit_length(s, obj.modulus, obj.step) for s in obj.starters).items())
             )
             d = develop(obj)
         else:

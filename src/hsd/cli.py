@@ -254,15 +254,19 @@ def cmd_fill(args) -> int:
 def cmd_convert(args) -> int:
     design = _load_design(args.file)
     ok, errors = check_frame(design)
-    q = design_to_frame(design)
-    elems = q.elements
-    names = {e: point_label(e, design.label_base) for e in elems}
-    width = max(map(len, names.values())) + 1
-    cell = lambda s: f"{s:>{width}}"  # noqa: E731
-    print(cell("*") + "".join(cell(names[e]) for e in elems))
-    for x in elems:
-        row = [names[q.table[(x, y)]] if (x, y) in q.table else "." for y in elems]
-        print(cell(names[x]) + "".join(cell(z) for z in row))
+    try:
+        q = design_to_frame(design)
+    except ValueError:  # a cell defined twice or an unknown point, which check_frame reports
+        q = None
+    if q is not None:
+        elems = q.elements
+        names = {e: point_label(e, design.label_base) for e in elems}
+        width = max(map(len, names.values())) + 1
+        cell = lambda s: f"{s:>{width}}"  # noqa: E731
+        print(cell("*") + "".join(cell(names[e]) for e in elems))
+        for x in elems:
+            row = [names[q.table[(x, y)]] if (x, y) in q.table else "." for y in elems]
+            print(cell(names[x]) + "".join(cell(z) for z in row))
     print(f"frame check: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     for err in errors:
         print(f"  {err}", file=sys.stderr)

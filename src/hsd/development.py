@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd, isqrt
 
 from hsd.core import (
     COLORS,
@@ -86,24 +87,39 @@ def shift_block(block, amount: int, modulus: int):
 def orbit(block, modulus: int, step: int = 1) -> list:
     """Distinct translates of a block under repeated shifting.
 
-    Stops as soon as a translate is equivalent to the starter, so short
-    orbits come out short.  The length always divides modulus / step.
+    The k-th translate shifts the entries below modulus by k * step and
+    leaves the long-hole points fixed; the list stops before the first
+    translate equivalent to the starter, so short orbits come out short.
+    Entries below modulus are taken as elements of Z_modulus (0 <= p).
     """
-    out = []
-    seen = set()
-    cur = tuple(block)
-    while True:
-        key = canonical_block(cur)
-        if key in seen:
-            break
-        seen.add(key)
-        out.append(cur)
-        cur = shift_block(cur, step, modulus)
-    return out
+    blk = tuple(block)
+    return [
+        tuple(p if p >= modulus else (p + k) % modulus for p in blk)
+        for k in range(0, orbit_length(blk, modulus, step) * step, step)
+    ]
 
 
 def orbit_length(block, modulus: int, step: int = 1) -> int:
-    return len(orbit(block, modulus, step))
+    """Number of distinct translates of a block, found without building them.
+
+    Shifting by span * step is the identity, span = modulus / gcd(modulus,
+    step), and the k with shift(block, k * step) equivalent to the block
+    form a subgroup of Z_span.  So the orbit length is the least divisor k
+    of span whose shift is equivalent to the block.
+    """
+    blk = tuple(block)
+    span = modulus // gcd(modulus, step)
+    key = canonical_block(blk)
+    for k in _divisors(span)[:-1]:
+        if canonical_block(shift_block(blk, k * step, modulus)) == key:
+            return k
+    return span
+
+
+def _divisors(n: int) -> list:
+    """Divisors of n in ascending order."""
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
 
 def develop(ss: StarterSet) -> Design:

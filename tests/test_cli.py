@@ -11,7 +11,7 @@ import pytest
 from hsd import search
 from hsd.catalog import catalog_get
 from hsd.cli import main
-from hsd.core import parse_type, verify_design
+from hsd.core import Design, parse_type, verify_design
 from hsd.files import parse_design, parse_starter, serialize_design
 from hsd.prover import prove_type
 
@@ -323,6 +323,48 @@ def test_convert_quasigroup(tmp_path, capsys):
     grid = [line.split() for line in out.strip().splitlines()]
     assert grid[0][-1] == "x1" and grid[-1][0] == "x1"
     assert grid[1][21] == "x1"  # 0 * 20 = x1, from the developed starter 0 1 5 x1
+
+
+def _ex21_damaged(tmp_path, name, edit):
+    d = catalog_get("Ex2.1").design()
+    f = tmp_path / name
+    f.write_text(serialize_design(Design(d.holes, edit(list(d.blocks)), label_base=d.label_base)))
+    return f
+
+
+def test_convert_quasigroup_missing_block_diagnostics(tmp_path, capsys):
+    # the table prints with holes where the block was; stderr is pinned line for line
+    f = _ex21_damaged(tmp_path, "missing.design", lambda b: b[1:])
+    code, out, err = run(capsys, "convert", "quasigroup", str(f))
+    assert code == 1
+    assert len(out.splitlines()) == 23
+    assert err.splitlines() == [
+        "frame check: FAIL",
+        "  row 0 is not a permutation of the points outside its hole",
+        "  column 0 is not a permutation of the points outside its hole",
+        "  row 1 is not a permutation of the points outside its hole",
+        "  column 1 is not a permutation of the points outside its hole",
+        "  row 5 is not a permutation of the points outside its hole",
+        "  column 5 is not a permutation of the points outside its hole",
+        "  row 21 is not a permutation of the points outside its hole",
+        "  column 21 is not a permutation of the points outside its hole",
+    ]
+
+
+def test_convert_quasigroup_doubled_block_is_a_negative(tmp_path, capsys):
+    # no table can hold a cell defined twice: the verdict and the
+    # diagnostics still come out, as a definite negative
+    f = _ex21_damaged(tmp_path, "doubled.design", lambda b: b + [b[0]])
+    code, out, err = run(capsys, "convert", "quasigroup", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "frame check: FAIL",
+        "  product 0*1 defined 2 times",
+        "  product 1*0 defined 2 times",
+        "  product 5*21 defined 2 times",
+        "  product 21*5 defined 2 times",
+    ]
 
 
 # --- error handling ------------------------------------------------------------

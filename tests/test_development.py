@@ -5,10 +5,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from hsd.catalog import catalog_get
-from hsd.core import parse_type, verify_design
+from hsd.catalog import catalog_get, catalog_list
+from hsd.core import canonical_block, parse_type, verify_design
 from hsd.development import (
     StarterSet,
     develop,
@@ -142,3 +142,49 @@ def test_orbit_closes_property(mult, start):
     # shifting by the full modulus returns to the start
     assert shift_block(b, g, g) == b
     assert len(blks) == orbit_length(b, g, 1)
+
+
+# --- divisor-tested orbits against the seen-set loop ---------------------------
+
+def _orbit_by_seen_set(block, modulus, step=1):
+    """The orbit as it was first written: shift until a translate repeats."""
+    out = []
+    seen = set()
+    cur = tuple(block)
+    while True:
+        key = canonical_block(cur)
+        if key in seen:
+            break
+        seen.add(key)
+        out.append(cur)
+        cur = shift_block(cur, step, modulus)
+    return out
+
+
+def test_orbit_matches_seen_set_loop_on_catalog_starters():
+    steps, short = set(), 0
+    for e in catalog_list(kind="starter"):
+        ss = e.load()
+        steps.add(ss.step)
+        for s in ss.starters:
+            want = _orbit_by_seen_set(s, ss.modulus, ss.step)
+            assert orbit(s, ss.modulus, ss.step) == want, (e.id, s)
+            assert orbit_length(s, ss.modulus, ss.step) == len(want), (e.id, s)
+            short += len(want) < ss.modulus // ss.step
+    assert steps - {1} and short  # steps above 1 and short orbits were both seen
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(0, 3),
+    st.integers(1, 130),
+    st.lists(st.integers(0, 200), min_size=4, max_size=4),
+)
+@example(24, 1, 9, [0, 8, 24, 16])  # step 9 does not divide 24: span 8, orbit 8
+@example(12, 2, 4, [3, 3, 13, 12])  # repeated entry and both long-hole points
+def test_orbit_matches_seen_set_loop_property(g, u, step, raw):
+    # long-hole points, repeated entries and steps that do not divide g
+    block = tuple(p % (g + u) for p in raw)
+    want = _orbit_by_seen_set(block, g, step)
+    assert orbit(block, g, step) == want
+    assert orbit_length(block, g, step) == len(want)

@@ -1,13 +1,20 @@
 """Quasigroup side of the equivalence, plus the two-checker mutation battery."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hsd.catalog import catalog_get
+import hsd.quasigroup
+from hsd.catalog import catalog_get, catalog_list
+from hsd.constructions import fill_holes_a, multiply
 from hsd.core import Design, verify_design
 from hsd.quasigroup import (
     Quasigroup,
+    _fills_frame_table,
+    _walk_frame_table,
     check_frame,
     check_schroder,
     check_weisner_pair,
@@ -123,3 +130,113 @@ def test_transpose_involution():
     for x in q.elements:
         for y in q.elements:
             assert t(x, y) == q(x, y)
+
+
+# --- product table against the cell walk ---------------------------------------
+#
+# check_frame certifies on a flat product table and hands every failure to
+# the cell-by-cell walk, which writes the diagnostics.  The table's verdict
+# and check_frame's whole answer must equal the walk's on good and broken
+# designs alike.
+
+def _assert_agree(d):
+    walked = _walk_frame_table(d)
+    assert _fills_frame_table(d) == walked[0]
+    assert check_frame(d) == walked
+    return walked
+
+
+def test_table_agrees_with_walk_on_catalog_designs():
+    for e in catalog_list():
+        if e.kind != "gdd":
+            assert _assert_agree(e.design()) == (True, []), e.id
+
+
+def test_table_agrees_with_walk_on_indexed_points():
+    # points 5p + 3 are not 0..P-1, so the table goes through a point index
+    d = catalog_get("A1/3^8 1^1").design()
+    moved = Design(
+        [[5 * p + 3 for p in hole] for hole in d.holes],
+        [tuple(5 * p + 3 for p in blk) for blk in d.blocks],
+    )
+    assert moved.points != tuple(range(len(moved.points)))
+    assert _assert_agree(moved) == (True, [])
+    for blocks in _damaged(moved, random.Random(7)).values():
+        assert not _assert_agree(Design(moved.holes, blocks))[0]
+
+
+def test_table_agrees_with_walk_on_constructions():
+    tripled = multiply(catalog_get("Ex2.1").design(), 3)
+    filled = fill_holes_a(
+        catalog_get("C1/9^4 1^1").design(), 3, catalog_get("S/3^4").design(), keep_size=1
+    )
+    for d in (tripled, filled):
+        assert _assert_agree(d) == (True, [])
+
+
+DAMAGE = ("drop", "duplicate", "drop_and_duplicate", "swap_first_two", "into_own_hole", "unknown_point")
+
+
+def _damage(d, kind, rng):
+    """The block list of d with one kind of damage done at random places."""
+    blocks = list(d.blocks)
+    i = rng.randrange(len(blocks))
+    if kind == "drop":
+        return blocks[:i] + blocks[i + 1:]
+    if kind == "duplicate":
+        return blocks + [blocks[i]]
+    if kind == "drop_and_duplicate":  # the block count stays right
+        j = rng.choice([j for j in range(len(blocks)) if j != i])
+        return blocks[:i] + blocks[i + 1:] + [blocks[j]]
+    blk = list(blocks[i])
+    if kind == "swap_first_two":
+        blk[0], blk[1] = blk[1], blk[0]
+    elif kind == "into_own_hole":  # one entry moves into the hole of another
+        j, k = rng.sample(range(4), 2)
+        hole = d.holes[d.structure.hole_of(blk[k])]
+        blk[j] = rng.choice(hole)
+    else:
+        blk[rng.randrange(4)] = max(d.points) + 1 + rng.randrange(5)
+    return blocks[:i] + [tuple(blk)] + blocks[i + 1:]
+
+
+def _damaged(d, rng):
+    return {kind: _damage(d, kind, rng) for kind in DAMAGE}
+
+
+def test_table_agrees_with_walk_on_damage():
+    rng = random.Random(20261018)
+    for key in ["Ex2.1", "A1/3^8 1^1", "S/1^8", "C1/9^4 4^1"]:
+        d = catalog_get(key).design()
+        for _ in range(3):
+            for kind, blocks in _damaged(d, rng).items():
+                ok, errors = _assert_agree(Design(d.holes, blocks))
+                assert not ok and errors, (key, kind)
+
+
+@given(
+    st.sampled_from(["Ex2.1", "S/1^8", "A1/3^8 1^1"]),
+    st.sampled_from(DAMAGE),
+    st.integers(0, 2**32),
+)
+def test_table_agrees_with_walk_on_damage_property(key, kind, seed):
+    d = catalog_get(key).design()
+    ok, _ = _assert_agree(Design(d.holes, _damage(d, kind, random.Random(seed))))
+    assert not ok
+
+
+def test_frame_check_stays_independent_of_the_design_verifier():
+    # verify_design reads the blocks as pair coverage, check_frame as a
+    # product table; if the second borrowed from the first, their agreement
+    # would certify nothing
+    forbidden = {"verify_design", "_flags_each_slot_once", "_verify_by_counting", "block_pairs"}
+    tree = ast.parse(Path(hsd.quasigroup.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & forbidden
