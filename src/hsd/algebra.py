@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from hsd.core import TypeSpec
+from hsd.core import MAX_ERRORS, TypeSpec
 
 # irreducible over GF(p), coefficients low degree first
 _IRREDUCIBLE = {
@@ -261,11 +261,11 @@ class GDDReport:
         return self.ok
 
 
-def verify_gdd(gdd: GDD, max_errors: int = 8) -> GDDReport:
+def verify_gdd(gdd: GDD) -> GDDReport:
     errors = []
 
     def note(msg):
-        if len(errors) < max_errors:
+        if len(errors) < MAX_ERRORS:
             errors.append(msg)
 
     cover = Counter()

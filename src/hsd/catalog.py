@@ -192,9 +192,7 @@ def verify_entry(e: CatalogEntry) -> CatalogRow:
             census = dict(
                 sorted(Counter(orbit_length(s, obj.modulus, obj.step) for s in obj.starters).items())
             )
-            d = develop(obj)
-        else:
-            d = obj
+        d = e.design()
         rep = verify_design(d)
         errors = list(rep.errors)
         blocks = len(d.blocks)

@@ -36,6 +36,9 @@ Block = tuple  # 4-tuple of int points
 
 COLORS = (1, 2, 3)
 
+# The most diagnostics a verifier reports for one object.
+MAX_ERRORS = 8
+
 
 def pair(p: int, q: int) -> tuple:
     """Unordered pair as a sorted 2-tuple."""
@@ -169,7 +172,6 @@ class FeasibilityReport:
     u: int
     feasible: bool
     checks: list  # (label, passed, detail)
-    notes: list
 
     def failed(self) -> list:
         return [label for label, ok, _ in self.checks if not ok]
@@ -195,17 +197,8 @@ def is_feasible(n: int, u: int) -> FeasibilityReport:
     checks.append(
         ("n(n + 2u - 1) = 0 (mod 4)", prod % 4 == 0, f"n(n + 2u - 1) = {prod} = {prod % 4} (mod 4)")
     )
-    notes = []
-    if n % 4 == 2:
-        notes.append("n = 2 (mod 4): no admissible u")
-    elif n % 4 == 1:
-        notes.append("n = 1 (mod 4): u must be even")
-    elif n % 4 == 3:
-        notes.append("n = 3 (mod 4): u must be odd")
-    else:
-        notes.append("n = 0 (mod 4): any u within the size bound")
     feasible = all(ok for _, ok, _ in checks)
-    return FeasibilityReport(n=n, u=u, feasible=feasible, checks=checks, notes=notes)
+    return FeasibilityReport(n=n, u=u, feasible=feasible, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ class VerificationReport:
         return self.ok
 
 
-def verify_design(design: Design, max_errors: int = 8) -> VerificationReport:
+def verify_design(design: Design) -> VerificationReport:
     """Certify a design from scratch.
 
     A valid design is certified in one pass over its blocks: every block
@@ -317,14 +310,14 @@ def verify_design(design: Design, max_errors: int = 8) -> VerificationReport:
     cross pairs, cover every cross pair once in every color.
 
     Any failure re-walks the blocks by counting, which writes the
-    diagnostics (at most `max_errors`): bad blocks, repeated blocks,
+    diagnostics (at most `MAX_ERRORS`): bad blocks, repeated blocks,
     pairs covered twice or missing, and a wrong block count.  Neither
     pass trusts the construction that produced the design.
     """
     if _flags_each_slot_once(design):
         n = len(design.blocks)
         return VerificationReport(True, design.type, n, n)
-    return _verify_by_counting(design, max_errors)
+    return _verify_by_counting(design)
 
 
 def _flags_each_slot_once(design: Design) -> bool:
@@ -363,7 +356,7 @@ def _flags_each_slot_once(design: Design) -> bool:
     return True
 
 
-def _verify_by_counting(design: Design, max_errors: int = 8) -> VerificationReport:
+def _verify_by_counting(design: Design) -> VerificationReport:
     """The counting verifier: same verdict as `verify_design`, plus the
     diagnostics it reports."""
     st = design.structure
@@ -371,7 +364,7 @@ def _verify_by_counting(design: Design, max_errors: int = 8) -> VerificationRepo
     errors = []
 
     def note(msg):
-        if len(errors) < max_errors:
+        if len(errors) < MAX_ERRORS:
             errors.append(msg)
 
     try:
@@ -408,8 +401,8 @@ def _verify_by_counting(design: Design, max_errors: int = 8) -> VerificationRepo
     got_total = sum(covered.values())
     if got_total != want_total or len(covered) != want_total:
         # only hunt for the missing pairs when something is actually wrong
-        if len(errors) < max_errors:
-            missing = _first_missing_pairs(st, covered, max_errors - len(errors))
+        if len(errors) < MAX_ERRORS:
+            missing = _first_missing_pairs(st, covered, MAX_ERRORS - len(errors))
             for pr, color in missing:
                 note(f"pair {pr!r} missing in color {color}")
         if not errors:

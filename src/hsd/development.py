@@ -22,6 +22,7 @@ from math import gcd, isqrt
 
 from hsd.core import (
     COLORS,
+    MAX_ERRORS,
     Design,
     TypeSpec,
     block_pairs,
@@ -146,7 +147,7 @@ class CensusReport:
         return self.ok
 
 
-def difference_census(ss: StarterSet, max_errors: int = 8) -> CensusReport:
+def difference_census(ss: StarterSet) -> CensusReport:
     """Validate a step-1 starter set by difference counting alone.
 
     In every color the finite pairs of the starters must realize each
@@ -164,7 +165,7 @@ def difference_census(ss: StarterSet, max_errors: int = 8) -> CensusReport:
     errors = []
 
     def note(msg):
-        if len(errors) < max_errors:
+        if len(errors) < MAX_ERRORS:
             errors.append(msg)
 
     label_seen = Counter()
@@ -199,6 +200,6 @@ def difference_census(ss: StarterSet, max_errors: int = 8) -> CensusReport:
             note(f"color {color}: {kind} difference {d} realized {got[d]} times")
 
     ok = not errors
-    if errors and len(errors) >= max_errors:
+    if errors and len(errors) >= MAX_ERRORS:
         errors.append("... further problems suppressed")
     return CensusReport(ok=ok, starters=len(ss.starters), errors=errors, per_color=per_color)

@@ -17,6 +17,7 @@ byte-identical.
 
 from dataclasses import dataclass, field
 import io
+import math
 import time
 
 from .core import (
@@ -24,11 +25,12 @@ from .core import (
     TypeSpec,
     expected_block_count,
     is_feasible,
+    parse_type,
     uniform_type,
     verify_design,
 )
 from .algebra import mols_capacity, td, td_constructible
-from .catalog import catalog_list
+from .catalog import catalog_get, catalog_list
 from .constructions import fill_holes_a, fill_holes_b, multiply, weight_inflate
 from . import search as search_mod
 from .search import search_direct
@@ -197,7 +199,7 @@ class Prover:
             return Outcome(UNKNOWN_HERE, t, notes=(
                 f"beyond scale cap ({t.points} points > {self.max_points})",))
         for rule in (self._r_trivial, self._r_feasible, self._r_catalog,
-                     self._r_search, self._r_gdd1, self._r_tdw, self._r_mul,
+                     self._r_search, self._r_tdw, self._r_mul,
                      self._r_fill_a, self._r_fill_b, self._r_9fam):
             hit = rule(t, notes)
             if isinstance(hit, Outcome):
@@ -241,26 +243,6 @@ class Prover:
                          f"({res.nodes} nodes); verdict stays UNKNOWN_HERE by policy")
         else:
             notes.append(f"search hit its budget ({res.nodes} nodes)")
-        return None
-
-    def _r_gdd1(self, t, notes):
-        # Weight 1 over a block-size-4 GDD of the same type.
-        for e in catalog_list(kind="gdd"):
-            g = e.load()
-            if g.type != t or g.lam != 1 or set(g.block_sizes()) != {4}:
-                continue
-            child = self.resolve(TypeSpec.of(1, 1, 1, 1))
-            if child:
-                return Recipe("R-GDD1", t, (("source", e.id),), (child.recipe,))
-        nu = _three_family(t)
-        if nu is not None:
-            n, u = nu
-            fits = ((n % 4 == 0 and u % 3 == 0 and 2 * u <= 3 * n - 6)
-                    or (n % 4 == 1 and u % 6 == 0 and 2 * u <= 3 * n - 3)
-                    or (n % 4 == 3 and u % 6 == 3 and 0 < 2 * u <= 3 * n - 3))
-            if fits:
-                notes.append(f"a block-size-4 GDD of type {t} would settle this "
-                             "by weight 1, but none is bundled")
         return None
 
     def _r_tdw(self, t, notes):
@@ -326,10 +308,7 @@ class Prover:
         return sorted(needed, key=str)
 
     def _r_mul(self, t, notes):
-        sizes = [s for s, _ in t.items]
-        g = 0
-        for s in sizes:
-            g = _gcd(g, s)
+        g = math.gcd(*(s for s, _ in t.items))
         blocked = []
         for m in sorted(_divisors(g)):
             if m < 3 or mols_capacity(m) < 2:
@@ -455,17 +434,12 @@ class Prover:
         if rule == "R-TRIV":
             return Design([list(range(recipe.target.points))], [])  # at most one hole
         if rule == "R-CAT":
-            return _catalog_design(p["id"])
+            return catalog_get(p["id"]).design()
         if rule == "R-SEARCH":
             res = search_direct(recipe.target, seed=p["seed"], node_limit=self.search_nodes)
             if not res:
                 raise AssertionError(f"search replay lost {recipe.target}")
             return res.design
-        if rule == "R-GDD1":
-            from .catalog import catalog_get
-            g = catalog_get(p["source"]).load()
-            ingredient = self.materialize(kids[0])
-            return weight_inflate(g, {q: 1 for q in g.points}, {kids[0].target: ingredient})
         if rule == "R-TDW":
             return self._build_tdw(p["m"], p["k"], p["u"], kids)
         if rule == "R-MUL":
@@ -514,17 +488,6 @@ def _note_frontier(notes, what, blocked):
         more = "" if len(set(blocked)) <= 3 else ", .."
         notes.append(f"{what} blocked on unsettled ingredients: "
                      + ", ".join(shown) + more)
-
-
-def _catalog_design(entry_id):
-    from .catalog import catalog_get
-    return catalog_get(entry_id).design()
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -612,7 +575,6 @@ def table(n_max: int, u_max: int, materialize: bool = False,
 def prove_type(spec, materialize: bool = False, large: bool = False):
     """One-shot verdict for a TypeSpec or type string.  Returns (outcome,
     design-or-None)."""
-    from .core import parse_type
     t = spec if isinstance(spec, TypeSpec) else parse_type(spec)
     pv = Prover(large=large)
     nu = _three_family(t)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hsd.core import Design, canonical_block
+from hsd.core import MAX_ERRORS, Design, canonical_block
 
 
 class Quasigroup:
@@ -135,7 +135,7 @@ def design_to_frame(design: Design) -> Quasigroup:
     return Quasigroup(design.points, table)
 
 
-def check_frame(design: Design, max_errors: int = 8):
+def check_frame(design: Design):
     """Table-side validity check, independent of verify_design.
 
     Reads the blocks only as a partial multiplication table: the block
@@ -146,11 +146,11 @@ def check_frame(design: Design, max_errors: int = 8):
 
     A valid design is certified on one flat P*P product table (see
     `_fills_frame_table`).  Any failure walks the table again by cells,
-    which writes the diagnostics (at most `max_errors`).
+    which writes the diagnostics (at most `MAX_ERRORS`).
     """
     if _fills_frame_table(design):
         return True, []
-    return _walk_frame_table(design, max_errors)
+    return _walk_frame_table(design)
 
 
 def _fills_frame_table(design: Design) -> bool:
@@ -201,14 +201,14 @@ def _fills_frame_table(design: Design) -> bool:
     return True
 
 
-def _walk_frame_table(design: Design, max_errors: int = 8):
+def _walk_frame_table(design: Design):
     """The cell-by-cell frame check: same verdict as `check_frame`, plus
     the diagnostics it reports."""
     st = design.structure
     errors = []
 
     def note(msg):
-        if len(errors) < max_errors:
+        if len(errors) < MAX_ERRORS:
             errors.append(msg)
 
     cells = Counter()

@@ -12,6 +12,10 @@ classes per color instead of pairs, which cuts the state down by a factor
 of g.  Representatives are normalized (first entry 0, branch class in the
 second slot, labels in the third), so each orbit class is tried once.
 
+Both exact searches, `ExactCover` and `search_starters`, hand their whole
+state down the recursion as ints and fill in the answer on the way back
+up, so backtracking has nothing to undo.
+
 `search_orbits` is the step-k cousin: exact cover whose candidates are
 whole shift orbits, for types whose modulus rules step 1 out.  Both only
 reach shift-invariant designs.  `search_climb` drops completeness
@@ -389,6 +393,11 @@ def search_starters(
     first entry 0, the branched color-1 class in the second slot, labels
     used in a fixed order and only in the third slot.  Exhaustive within
     budget, so "none" certifies that no step-1 starter set exists.
+
+    The state is three ints handed down the recursion, one per color,
+    with bit r set while class r of that color is uncovered; the branch
+    class is the lowest bit left in color 1.  The first "timeout" below
+    ends the node.
     """
     g = hole_size * n
     same = {(j * n) % g for j in range(1, hole_size)}
@@ -397,83 +406,64 @@ def search_starters(
         return SearchResult(NONE)
 
     reps = [d for d in range(1, g // 2 + 1) if d not in same and d != g - d]
-    unc = {c: set(reps) for c in COLORS}
+    full = sum(1 << d for d in reps)
     budget = Budget(node_limit)
     rng = random.Random(seed)
-    chosen: list = []
+    chosen: list = []  # filled from the leaf up once a starter set is found
 
-    def descend(labels_left: int):
-        k1 = len(unc[1])
+    def descend(labels_left: int, m1: int, m2: int, m3: int):
+        k1 = m1.bit_count()
         if k1 == 0:
             return FOUND if labels_left == 0 else NONE
         if labels_left > k1 or (k1 - labels_left) % 2:
             return NONE
         if not budget.tick():
             return TIMEOUT
-        d_star = min(unc[1])
-        cands = []
+        d_star = (m1 & -m1).bit_length() - 1
+        cands = []  # (block, labels left below it, class bits it covers per color)
         if labels_left:
+            label = g + u - labels_left
             for p2 in (d_star, g - d_star):
                 for p4 in range(g):
                     if p4 == 0 or p4 == p2:
                         continue
                     r2, r3 = _class_rep(p4 - p2, g), _class_rep(p4, g)
-                    if r2 in unc[2] and r3 in unc[3]:
-                        cands.append((p2, None, p4, (d_star,), (r2,), (r3,)))
+                    if m2 >> r2 & 1 and m3 >> r3 & 1:
+                        cands.append(((0, p2, label, p4), labels_left - 1,
+                                      1 << d_star, 1 << r2, 1 << r3))
         for p3 in range(g):
             if p3 == 0 or p3 == d_star:
                 continue
             r2a = _class_rep(p3, g)
-            if r2a not in unc[2]:
+            if not m2 >> r2a & 1:
                 continue
             r3b = _class_rep(p3 - d_star, g)
-            if r3b not in unc[3]:
+            if not m3 >> r3b & 1:
                 continue
             for p4 in range(g):
                 if p4 == 0 or p4 == d_star or p4 == p3:
                     continue
                 r1b = _class_rep(p4 - p3, g)
-                if r1b == d_star or r1b not in unc[1]:
+                if r1b == d_star or not m1 >> r1b & 1:
                     continue
                 r2b = _class_rep(p4 - d_star, g)
-                if r2b == r2a or r2b not in unc[2]:
+                if r2b == r2a or not m2 >> r2b & 1:
                     continue
                 r3a = _class_rep(p4, g)
-                if r3a == r3b or r3a not in unc[3]:
+                if r3a == r3b or not m3 >> r3a & 1:
                     continue
-                cands.append((d_star, p3, p4, (d_star, r1b), (r2a, r2b), (r3b, r3a)))
+                cands.append(((0, d_star, p3, p4), labels_left, 1 << d_star | 1 << r1b,
+                              1 << r2a | 1 << r2b, 1 << r3b | 1 << r3a))
         rng.shuffle(cands)
-        saw_timeout = False
-        for p2, p3, p4, c1, c2, c3 in cands:
-            for r in c1:
-                unc[1].remove(r)
-            for r in c2:
-                unc[2].remove(r)
-            for r in c3:
-                unc[3].remove(r)
-            if p3 is None:
-                block = (0, p2, g + u - labels_left, p4)
-                chosen.append(block)
-                status = descend(labels_left - 1)
-            else:
-                block = (0, p2, p3, p4)
-                chosen.append(block)
-                status = descend(labels_left)
+        for block, left, b1, b2, b3 in cands:
+            status = descend(left, m1 & ~b1, m2 & ~b2, m3 & ~b3)
             if status == FOUND:
-                return FOUND  # keep the chosen stack intact
-            chosen.pop()
-            for r in c1:
-                unc[1].add(r)
-            for r in c2:
-                unc[2].add(r)
-            for r in c3:
-                unc[3].add(r)
-            if status == TIMEOUT:
-                saw_timeout = True
-                break
-        return TIMEOUT if saw_timeout else NONE
+                chosen.append(block)
+            if status != NONE:
+                return status
+        return NONE
 
-    status = descend(u)
+    status = descend(u, full, full, full)
     ss = None
     if status == FOUND:
         ss = StarterSet(
@@ -481,6 +471,6 @@ def search_starters(
             hole_size=hole_size,
             step=1,
             u=u,
-            starters=tuple(chosen),
+            starters=tuple(reversed(chosen)),
         )
     return SearchResult(status, starter_set=ss, nodes=budget.nodes, elapsed=budget.elapsed)

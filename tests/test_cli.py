@@ -131,6 +131,13 @@ def test_verify_many_files_worst_status_wins(tmp_path, capsys):
     assert out.count("PASS") == 1 and out.count("FAIL") == 1
 
 
+def test_verify_accepts_gdd_files(tmp_path, capsys):
+    f = tmp_path / "g.gdd"
+    f.write_text(catalog_get("GDD/3^4").text())
+    code, out, _ = run(capsys, "verify", str(f))
+    assert (code, out) == (0, f"PASS {f}: GDD 3^4 (9 blocks)\n")
+
+
 def test_verify_accepts_starter_files_by_developing(tmp_path, capsys):
     f = tmp_path / "ex22.starter"
     f.write_text(catalog_get("Ex2.2").text())
@@ -301,6 +308,26 @@ def test_fill_command(tmp_path, capsys):
     d = parse_design(out)
     assert d.type == parse_type("3^12 4^1")
     assert len(d.blocks) == 369
+
+
+def test_fill_b_command(tmp_path, capsys):
+    # 15^4 3^1 8^1: the four 15-holes take 3^5, the 3-hole takes 3^1
+    outer = tmp_path / "outer.design"
+    code, _, _ = run(capsys, "prove", "15^4 3^1 8^1", "--materialize", "-o", str(outer))
+    assert code == 0
+    inner_s = tmp_path / "s.starter"
+    inner_s.write_text(catalog_get("S/3^5").text())
+    inner_t = tmp_path / "t.design"
+    inner_t.write_text(serialize_design(Design([[0, 1, 2]], [])))
+    code, out, err = run(
+        capsys, "fill", "b", str(outer), str(inner_s), str(inner_t), "--keep", "8",
+    )
+    assert code == 0
+    assert err == "filled -> 3^21 8^1: 1197 blocks, verified\n"
+    d = parse_design(out)
+    assert d.type == parse_type("3^21 8^1")
+    assert len(d.blocks) == 1197
+    assert verify_design(d).ok
 
 
 def test_convert_quasigroup(tmp_path, capsys):

@@ -109,15 +109,6 @@ def test_resolve_nine_family_rule(prover):
     assert verify_design(d).ok
 
 
-def test_gdd_inflation_rule(prover):
-    # shadowed by the catalog in the normal chain, so drive it directly
-    recipe = prover._r_gdd1(parse_type("3^4"), [])
-    assert recipe is not None and recipe.rule == "R-GDD1"
-    d = prover.materialize(recipe)
-    assert len(d.blocks) == 27
-    assert verify_design(d).ok
-
-
 def test_desk_scale_cap(prover):
     out = prover.resolve(parse_type("3^88 125^1"))
     assert out.verdict == UNKNOWN_HERE

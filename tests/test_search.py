@@ -1,14 +1,18 @@
 """Exact-cover engine and the four search entry points."""
 
+import ast
 import hashlib
+import os
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hsd.catalog import catalog_get
+from hsd import search
+from hsd.catalog import catalog_get, catalog_list
 from hsd.core import Design, expected_block_count, parse_type, verify_design
-from hsd.development import develop
+from hsd.development import StarterSet, develop
 from hsd.files import serialize_design, serialize_starter
 from hsd.search import (
     FOUND,
@@ -17,6 +21,7 @@ from hsd.search import (
     Budget,
     ExactCover,
     _candidates,
+    _class_rep,
     _holes_for,
     search_climb,
     search_direct,
@@ -250,9 +255,10 @@ def test_search_result_truthiness():
     assert not bool(search_direct(parse_type("1^5")))
 
 
-# (search, type or (n, u) or (n, u, step), seed, limit) -> (status, nodes,
-# sha256 of the serialized design, or of the serialized starter set for
-# "starters"); limit is node_limit.  A change to the candidate builder or
+# (search, type or (n, u, step) for "orbits" or (n, u[, hole_size]) for
+# "starters", seed, limit) -> (status, nodes, sha256 of the serialized
+# design, or of the serialized starter set for "starters"); limit is
+# node_limit.  A change to the candidate builder or
 # the exact-cover engine must reproduce every row, so that seeds named in
 # recipes and catalog notes still replay.
 FROZEN_SEARCHES = {
@@ -273,8 +279,20 @@ FROZEN_SEARCHES = {
     ("orbits", (4, 0, 4), 0, None): (NONE, 535, None),
     ("orbits", (4, 4, 4), 0, 30): (TIMEOUT, 31, None),
     ("starters", (5, 2), 0, None): (FOUND, 4, "bc8eaa1b942066be597178f9c9dc177b863b046538b05d1c479fb5d192257f98"),
+    ("starters", (9, 0, 1), 0, None): (NONE, 25, None),
+    ("starters", (9, 2, 1), 0, None): (FOUND, 30, "6bf463f4bea5a610bb88a34274e4dcd1d52d1984ca4c10d06b55e4186758cbea"),
+    ("starters", (11, 1, 1), 0, 500): (TIMEOUT, 501, None),
+    ("starters", (5, 1, 3), 0, None): (NONE, 0, None),
+    ("starters", (7, 3, 3), 1, None): (FOUND, 635, "d3d80fcc0c5a60972c7c027fba586389619a03c66791cdcad72c945098e0e485"),
+    ("starters", (9, 0, 3), 0, 2000): (TIMEOUT, 2001, None),
+    ("starters", (4, 0, 4), 0, None): (NONE, 65, None),
+    ("starters", (4, 2, 4), 0, None): (FOUND, 238, "7a3df9a5ae7b27056ec5c807804e1cbfedbaee03ee754628d88c9f55253b340c"),
+    ("starters", (6, 2, 4), 1, None): (FOUND, 299, "30ce120c38368cda052b65074c77a183bdf732ce09b6e83fecb8cd0a57d41131"),
+    ("starters", (5, 0, 4), 0, 2000): (TIMEOUT, 2001, None),
     ("climb", "1^4", 0, 3000): (FOUND, 3, "2b4b046adb07fb0bd1c4eae639e1d0f75f9cd8c439e3a364333e7f94425ed720"),
     ("climb", "1^5", 0, 3000): (TIMEOUT, 3001, None),
+    # 40,000 climb steps, one exact-cover repair, then the budget runs out
+    ("climb", "1^5", 0, 41_000): (TIMEOUT, 41001, None),
 }
 
 
@@ -308,3 +326,132 @@ def test_derived_direct_entries_replay_their_oracle(text):
     status, picked = ExactCover(len(item_id), items).solve(random.Random(0), order="mrv")
     assert status == FOUND
     assert Design(holes, [blocks[ci] for ci in picked]).blocks == entry.design().blocks
+
+
+def _reference_search_starters(n, u, hole_size=3, seed=0, node_limit=None):
+    """The set-based `search_starters` that removes covered classes from
+    shared sets and adds them back on backtracking; returns (status,
+    nodes, starter set or None)."""
+    g = hole_size * n
+    same = {(j * n) % g for j in range(1, hole_size)}
+    if g % 2 == 0 and (g // 2) not in same:
+        return NONE, 0, None
+    reps = [d for d in range(1, g // 2 + 1) if d not in same and d != g - d]
+    unc = {c: set(reps) for c in (1, 2, 3)}
+    budget = Budget(node_limit)
+    rng = random.Random(seed)
+    chosen = []
+
+    def descend(labels_left):
+        k1 = len(unc[1])
+        if k1 == 0:
+            return FOUND if labels_left == 0 else NONE
+        if labels_left > k1 or (k1 - labels_left) % 2:
+            return NONE
+        if not budget.tick():
+            return TIMEOUT
+        d_star = min(unc[1])
+        cands = []
+        if labels_left:
+            for p2 in (d_star, g - d_star):
+                for p4 in range(g):
+                    if p4 == 0 or p4 == p2:
+                        continue
+                    r2, r3 = _class_rep(p4 - p2, g), _class_rep(p4, g)
+                    if r2 in unc[2] and r3 in unc[3]:
+                        cands.append((p2, None, p4, (d_star,), (r2,), (r3,)))
+        for p3 in range(g):
+            if p3 == 0 or p3 == d_star:
+                continue
+            r2a = _class_rep(p3, g)
+            if r2a not in unc[2]:
+                continue
+            r3b = _class_rep(p3 - d_star, g)
+            if r3b not in unc[3]:
+                continue
+            for p4 in range(g):
+                if p4 == 0 or p4 == d_star or p4 == p3:
+                    continue
+                r1b = _class_rep(p4 - p3, g)
+                if r1b == d_star or r1b not in unc[1]:
+                    continue
+                r2b = _class_rep(p4 - d_star, g)
+                if r2b == r2a or r2b not in unc[2]:
+                    continue
+                r3a = _class_rep(p4, g)
+                if r3a == r3b or r3a not in unc[3]:
+                    continue
+                cands.append((d_star, p3, p4, (d_star, r1b), (r2a, r2b), (r3b, r3a)))
+        rng.shuffle(cands)
+        saw_timeout = False
+        for p2, p3, p4, *classes in cands:
+            for c, rs in zip((1, 2, 3), classes):
+                unc[c].difference_update(rs)
+            if p3 is None:
+                chosen.append((0, p2, g + u - labels_left, p4))
+                status = descend(labels_left - 1)
+            else:
+                chosen.append((0, p2, p3, p4))
+                status = descend(labels_left)
+            if status == FOUND:
+                return FOUND
+            chosen.pop()
+            for c, rs in zip((1, 2, 3), classes):
+                unc[c].update(rs)
+            if status == TIMEOUT:
+                saw_timeout = True
+                break
+        return TIMEOUT if saw_timeout else NONE
+
+    status = descend(u)
+    ss = None
+    if status == FOUND:
+        ss = StarterSet(modulus=g, hole_size=hole_size, step=1, u=u, starters=tuple(chosen))
+    return status, budget.nodes, ss
+
+
+def test_search_starters_matches_the_set_based_reference():
+    # 288 cases: every status, both label branches, four hole sizes
+    statuses = set()
+    for h in range(1, 5):
+        for n in range(4, 10):
+            for u in range(6):
+                for seed in (0, 1):
+                    res = search_starters(n, u, hole_size=h, seed=seed, node_limit=400)
+                    want = _reference_search_starters(n, u, h, seed, 400)
+                    assert (res.status, res.nodes, res.starter_set) == want, (h, n, u, seed)
+                    statuses.add(res.status)
+    assert statuses == {FOUND, NONE, TIMEOUT}
+
+
+_ORACLE_CALL = re.compile(r"\b(search_starters|search_orbits|search_climb)\([^)]*\)")
+# replays that take more than a second (S/3^13 about a minute)
+_SLOW_ORACLES = {"C2/9^5 2^1", "S/1^8 3^1", "S/3^13", "S/3^4 2^1", "S/3^8", "S/3^8 6^1"}
+
+
+def _oracle_entries():
+    out = []
+    for e in catalog_list(status="derived"):
+        if _ORACLE_CALL.search(e.note):
+            slow = pytest.mark.skipif(
+                e.id in _SLOW_ORACLES and not os.environ.get("HSD_LARGE"),
+                reason="slow replay; set HSD_LARGE=1 to include it",
+            )
+            out.append(pytest.param(e, id=e.id, marks=slow))
+    return out
+
+
+@pytest.mark.parametrize("entry", _oracle_entries())
+def test_derived_entries_replay_their_oracle(entry):
+    # the note names the search call that generated the entry; run it again
+    call = ast.parse(_ORACLE_CALL.search(entry.note).group(0), mode="eval").body
+    args = [ast.literal_eval(a) for a in call.args]
+    kwargs = {k.arg: ast.literal_eval(k.value) for k in call.keywords}
+    if call.func.id == "search_climb":
+        res = search_climb(parse_type(args[0]), **kwargs)
+        assert res.status == FOUND
+        assert res.design.blocks == entry.design().blocks
+    else:
+        res = getattr(search, call.func.id)(*args, **kwargs)
+        assert res.status == FOUND
+        assert res.starter_set == entry.load()
