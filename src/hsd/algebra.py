@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import isqrt
 
 from hsd.core import MAX_ERRORS, TypeSpec
 
@@ -43,6 +43,12 @@ def prime_factors(m: int) -> Counter:
     if rest > 1:
         out[rest] += 1
     return out
+
+
+def divisors(n: int) -> list:
+    """Divisors of n in ascending order."""
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
 
 class GF:

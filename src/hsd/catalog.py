@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from hsd.algebra import GDD, verify_gdd
+from hsd.algebra import verify_gdd
 from hsd.core import Design, TypeSpec, parse_type, verify_design
 from hsd.development import StarterSet, develop, orbit_length
 from hsd.files import parse_design, parse_gdd, parse_starter

@@ -17,7 +17,7 @@ out.
 import argparse
 import sys
 
-from .algebra import verify_gdd
+from .algebra import GDD, verify_gdd
 from .catalog import catalog_get, catalog_list, catalog_verify_all
 from .constructions import fill_holes_a, fill_holes_b, multiply
 from .core import (
@@ -60,14 +60,31 @@ def _write(path, text: str):
             fh.write(text)
 
 
-def _load_design(path: str) -> Design:
+def _load_design(path: str, gdd_ok: bool = False):
+    """The design in a file, a starter file developed; with `gdd_ok` a GDD
+    file gives its GDD."""
     text = _read(path)
     kind = detect_format(text)
     if kind == "design":
         return parse_design(text)
     if kind == "starter":
         return develop(parse_starter(text))
+    if gdd_ok:
+        return parse_gdd(text)
     raise ValueError(f"{path}: expected a design or starter file, found {kind}")
+
+
+def _deliver(result: Design, output, what: str) -> int:
+    """Verify a built design, then write it and report it as `what`; on a
+    failure print the diagnostics instead."""
+    report = verify_design(result)
+    if not report.ok:
+        for err in report.errors:
+            print(f"  {err}", file=sys.stderr)
+        return NEGATIVE
+    _write(output, serialize_design(result))
+    print(f"{what}: {len(result.blocks)} blocks, verified", file=sys.stderr)
+    return OK
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +94,11 @@ def _load_design(path: str) -> Design:
 def cmd_verify(args) -> int:
     worst = OK
     for path in args.files:
-        text = _read(path)
-        kind = detect_format(text)
+        obj = _load_design(path, gdd_ok=True)
         name = "stdin" if path == "-" else path
-        if kind == "gdd":
-            g = parse_gdd(text)
-            report = verify_gdd(g)
-            label = f"GDD {g.type} ({len(g.blocks)} blocks)"
-        else:
-            d = parse_design(text) if kind == "design" else develop(parse_starter(text))
-            report = verify_design(d)
-            label = f"{d.type} ({len(d.blocks)} blocks)"
+        is_gdd = isinstance(obj, GDD)
+        report = verify_gdd(obj) if is_gdd else verify_design(obj)
+        label = f"{'GDD ' if is_gdd else ''}{obj.type} ({len(obj.blocks)} blocks)"
         if report.ok:
             print(f"PASS {name}: {label}")
         else:
@@ -181,16 +192,12 @@ def cmd_table(args) -> int:
 
 
 def _split_uniform(t):
-    """h^n u^1 reading of a type, for the starter searches."""
-    items = list(t.items)
-    if len(items) == 1:
-        return items[0][0], items[0][1], 0
-    if len(items) == 2:
-        bodies = [(s, c) for s, c in items if c > 1]
-        if len(bodies) == 1:
-            (h, n) = bodies[0]
-            (u,) = [s for s, c in items if c == 1 and s != h]
-            return h, n, u
+    """h^n u^1 reading of a type, for the starter searches: h is the one
+    size that repeats, or the only size."""
+    repeated = [s for s, c in t.items if c > 1] or [s for s, _ in t.items]
+    nu = t.split(repeated[0]) if len(repeated) == 1 else None
+    if nu is not None:
+        return (repeated[0], *nu)
     raise ValueError(f"type {t} is not of the h^n u^1 shape these searches need")
 
 
@@ -221,15 +228,7 @@ def cmd_search(args) -> int:
 def cmd_multiply(args) -> int:
     design = _load_design(args.file)
     result = multiply(design, args.m)
-    report = verify_design(result)
-    if not report.ok:
-        for err in report.errors:
-            print(f"  {err}", file=sys.stderr)
-        return NEGATIVE
-    _write(args.output, serialize_design(result))
-    print(f"{design.type} x {args.m} -> {result.type}: "
-          f"{len(result.blocks)} blocks, verified", file=sys.stderr)
-    return OK
+    return _deliver(result, args.output, f"{design.type} x {args.m} -> {result.type}")
 
 
 def cmd_fill(args) -> int:
@@ -240,15 +239,7 @@ def cmd_fill(args) -> int:
     else:
         result = fill_holes_b(outer, args.new_points, _load_design(args.inner_s),
                               _load_design(args.inner_t), keep_size=args.keep)
-    report = verify_design(result)
-    if not report.ok:
-        for err in report.errors:
-            print(f"  {err}", file=sys.stderr)
-        return NEGATIVE
-    _write(args.output, serialize_design(result))
-    print(f"filled -> {result.type}: {len(result.blocks)} blocks, verified",
-          file=sys.stderr)
-    return OK
+    return _deliver(result, args.output, f"filled -> {result.type}")
 
 
 def cmd_convert(args) -> int:

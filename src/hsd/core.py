@@ -115,6 +115,19 @@ class TypeSpec:
     def holes(self) -> int:
         return sum(c for _, c in self.items)
 
+    def split(self, h: int):
+        """Read the type as h^n u^1: (n, u), with u = 0 for plain h^n, or
+        None for any other shape.  The inverse of `uniform_type(n, u, h)`,
+        which folds u = h into the short holes."""
+        rest = dict(self.items)
+        n = rest.pop(h, 0)
+        if not n or len(rest) > 1:
+            return None
+        if not rest:
+            return n, 0
+        ((u, count),) = rest.items()
+        return (n, u) if count == 1 else None
+
     def __str__(self) -> str:
         ordered = sorted(self.items, key=lambda sc: (-sc[1], sc[0]))
         return " ".join(f"{s}^{c}" for s, c in ordered)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd
 
+from hsd.algebra import divisors
 from hsd.core import (
     COLORS,
     MAX_ERRORS,
@@ -111,16 +112,10 @@ def orbit_length(block, modulus: int, step: int = 1) -> int:
     blk = tuple(block)
     span = modulus // gcd(modulus, step)
     key = canonical_block(blk)
-    for k in _divisors(span)[:-1]:
+    for k in divisors(span)[:-1]:
         if canonical_block(shift_block(blk, k * step, modulus)) == key:
             return k
     return span
-
-
-def _divisors(n: int) -> list:
-    """Divisors of n in ascending order."""
-    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
-    return small + [n // k for k in reversed(small) if k * k != n]
 
 
 def develop(ss: StarterSet) -> Design:
@@ -139,9 +134,7 @@ def develop(ss: StarterSet) -> Design:
 @dataclass
 class CensusReport:
     ok: bool
-    starters: int
     errors: list = field(default_factory=list)
-    per_color: dict = field(default_factory=dict)  # color -> Counter of differences
 
     def __bool__(self) -> bool:
         return self.ok
@@ -202,4 +195,4 @@ def difference_census(ss: StarterSet) -> CensusReport:
     ok = not errors
     if errors and len(errors) >= MAX_ERRORS:
         errors.append("... further problems suppressed")
-    return CensusReport(ok=ok, starters=len(ss.starters), errors=errors, per_color=per_color)
+    return CensusReport(ok=ok, errors=errors)

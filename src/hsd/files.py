@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from hsd.algebra import GDD
-from hsd.core import Design, TypeSpec, parse_type
+from hsd.core import Design, parse_type
 from hsd.development import StarterSet
 
 DESIGN_MAGIC = "hsd-design v1"

@@ -29,7 +29,7 @@ from .core import (
     uniform_type,
     verify_design,
 )
-from .algebra import mols_capacity, td, td_constructible
+from .algebra import divisors, mols_capacity, td, td_constructible
 from .catalog import catalog_get, catalog_list
 from .constructions import fill_holes_a, fill_holes_b, multiply, weight_inflate
 from . import search as search_mod
@@ -109,18 +109,6 @@ class Outcome:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-
-def _three_family(t: TypeSpec):
-    """Map 3^n or 3^n u^1 to (n, u); None for any other shape."""
-    items = dict(t.items)
-    if set(items) == {3}:
-        return items[3], 0
-    if len(items) == 2 and 3 in items:
-        (u,) = [s for s in items if s != 3]
-        if items[u] == 1:
-            return items[3], u
-    return None
 
 
 def _g6_weights(m: int, u: int):
@@ -217,7 +205,7 @@ class Prover:
         return None
 
     def _r_feasible(self, t, notes):
-        nu = _three_family(t)
+        nu = t.split(3)
         if nu is None:
             return None
         rep = is_feasible(*nu)
@@ -234,9 +222,13 @@ class Prover:
     def _r_search(self, t, notes):
         if t.points > SEARCH_MAX_POINTS:
             return None
+        try:
+            expected_block_count(t)
+        except ValueError as exc:
+            notes.append(f"{exc}, so no design exists; verdict stays UNKNOWN_HERE by policy")
+            return None
         res = search_direct(t, seed=0, node_limit=self.search_nodes)
         if res:
-            self._designs[t] = res.design
             return Recipe("R-SEARCH", t, (("seed", 0), ("nodes", res.nodes)))
         if res.status == search_mod.NONE:
             notes.append(f"exhaustive search: no design of type {t} exists "
@@ -310,7 +302,7 @@ class Prover:
     def _r_mul(self, t, notes):
         g = math.gcd(*(s for s, _ in t.items))
         blocked = []
-        for m in sorted(_divisors(g)):
+        for m in divisors(g):
             if m < 3 or mols_capacity(m) < 2:
                 continue
             base = TypeSpec(tuple((s // m, c) for s, c in t.items))
@@ -325,67 +317,55 @@ class Prover:
     def _r_fill_a(self, t, notes):
         """3^(s*m) (w+v)^1 from an outer (3s)^m w^1 whose big holes are
         filled with copies of 3^s v^1 sharing v new points."""
-        nu = _three_family(t)
+        nu = t.split(3)
         if nu is None:
             return None
         n, u = nu
+        shapes = [(s, n // s, 0) for s in divisors(n) if s >= 3 and n // s >= 3]
+        return self._fill(t, notes, u, shapes, "R-FILL-A", "hole filling")
+
+    def _r_fill_b(self, t, notes):
+        """3^(s*m+t) (w+v)^1 from an outer (3s)^m (3t)^1 w^1: the big holes
+        take 3^s v^1, the odd one takes 3^tt v^1, all sharing v new points."""
+        nu = t.split(3)
+        if nu is None:
+            return None
+        n, u = nu
+        shapes = [(s, m, n - s * m) for s in range(3, 13)
+                  for m in range(4, n // s + 1) if 1 <= n - s * m < s]
+        return self._fill(t, notes, u, shapes, "R-FILL-B", "two-size hole filling")
+
+    def _fill(self, t, notes, u, shapes, rule, what):
+        """The planning loop of both filling rules.  Each shape (s, m, tt)
+        names an outer (3s)^m (3tt)^1 w^1, with no 3tt hole when tt is 0;
+        for each split u = w + v the inners 3^s v^1 (and 3^tt v^1) are
+        resolved first, then the outer."""
         blocked = []
-        for s in sorted(_divisors(n)):
-            if s < 3:
-                continue
-            m = n // s
-            if m < 3:
-                continue
+        for s, m, tt in shapes:
+            sizes = (s, tt) if tt else (s,)
             for v in range(0, min(u, (3 * (s - 1)) // 2) + 1):
                 w = u - v
-                if w == 0 and m < 4:
+                if w == 0 and m < 4:  # an outer (3s)^3 has too few holes
                     continue
-                inner = self.resolve(uniform_type(s, v))
-                if not inner:
+                inners = []
+                for size in sizes:
+                    inner = self.resolve(uniform_type(size, v))
+                    if not inner:
+                        break
+                    inners.append(inner.recipe)
+                if len(inners) < len(sizes):
                     continue
-                outer_t = TypeSpec.of(*([3 * s] * m + ([w] if w else [])))
+                extra = ([3 * tt] if tt else []) + ([w] if w else [])
+                outer_t = TypeSpec.of(*[3 * s] * m, *extra)
                 outer = self.resolve(outer_t)
                 if not outer:
                     if outer.verdict == UNKNOWN_HERE:
                         blocked.append(str(outer_t))
                     continue
-                params = (("s", s), ("m", m), ("v", v), ("w", w))
-                return Recipe("R-FILL-A", t, params,
-                              (outer.recipe, inner.recipe))
-        _note_frontier(notes, "hole filling", blocked)
-        return None
-
-    def _r_fill_b(self, t, notes):
-        """3^(s*m+t) (w+v)^1 from an outer (3s)^m (3t)^1 w^1: the big holes
-        take 3^s v^1, the odd one takes 3^tt v^1, all sharing v new points."""
-        nu = _three_family(t)
-        if nu is None:
-            return None
-        n, u = nu
-        blocked = []
-        for s in range(3, 13):
-            for m in range(4, n // s + 1):
-                tt = n - s * m
-                if not 1 <= tt < s:
-                    continue
-                for v in range(0, min(u, (3 * (s - 1)) // 2) + 1):
-                    w = u - v
-                    inner_s = self.resolve(uniform_type(s, v))
-                    if not inner_s:
-                        continue
-                    inner_t = self.resolve(uniform_type(tt, v))
-                    if not inner_t:
-                        continue
-                    outer_t = TypeSpec.of(*([3 * s] * m + [3 * tt] + ([w] if w else [])))
-                    outer = self.resolve(outer_t)
-                    if not outer:
-                        if outer.verdict == UNKNOWN_HERE:
-                            blocked.append(str(outer_t))
-                        continue
-                    params = (("s", s), ("m", m), ("t", tt), ("v", v), ("w", w))
-                    return Recipe("R-FILL-B", t, params,
-                                  (outer.recipe, inner_s.recipe, inner_t.recipe))
-        _note_frontier(notes, "two-size hole filling", blocked)
+                params = ((("s", s), ("m", m)) + ((("t", tt),) if tt else ())
+                          + (("v", v), ("w", w)))
+                return Recipe(rule, t, params, (outer.recipe, *inners))
+        _note_frontier(notes, what, blocked)
         return None
 
     def _r_9fam(self, t, notes):
@@ -441,43 +421,27 @@ class Prover:
                 raise AssertionError(f"search replay lost {recipe.target}")
             return res.design
         if rule == "R-TDW":
-            return self._build_tdw(p["m"], p["k"], p["u"], kids)
+            m, k = p["m"], p["k"]
+            return self._weight_td(
+                m, [[3] * m] * 4 + [[3] * k + [0] * (m - k), _g6_weights(m, p["u"])], kids)
         if rule == "R-MUL":
             return multiply(self.materialize(kids[0]), p["m"])
-        if rule == "R-FILL-A":
-            outer = self.materialize(kids[0])
-            inner = self.materialize(kids[1])
-            keep = p["w"] if p["w"] else None
-            return fill_holes_a(outer, p["v"], inner, keep_size=keep)
-        if rule == "R-FILL-B":
-            outer = self.materialize(kids[0])
-            inner_s = self.materialize(kids[1])
-            inner_t = self.materialize(kids[2])
-            keep = p["w"] if p["w"] else None
-            return fill_holes_b(outer, p["v"], inner_s, inner_t, keep_size=keep)
+        if rule in ("R-FILL-A", "R-FILL-B"):
+            outer, *inners = [self.materialize(kid) for kid in kids]
+            fill = fill_holes_a if rule == "R-FILL-A" else fill_holes_b
+            return fill(outer, p["v"], *inners, keep_size=p["w"] or None)
         if rule == "R-9FAM":
-            return self._build_9fam(p["k"], kids)
+            k = p["k"]
+            return self._weight_td(9, [[1] * 9] * 9 + [[4] * k + [2] * (9 - k)], kids)
         raise ValueError(f"rule {rule} cannot be materialized")
 
-    def _build_tdw(self, m, k, u, kids):
-        g = td(6, m)
-        weights = {}
-        for gi in range(4):
-            for q in g.groups[gi]:
-                weights[q] = 3
-        for i, q in enumerate(g.groups[4]):
-            weights[q] = 3 if i < k else 0
-        vec = _g6_weights(m, u)
-        for i, q in enumerate(g.groups[5]):
-            weights[q] = vec[i]
-        supply = {kid.target: self.materialize(kid) for kid in kids}
-        return weight_inflate(g, weights, supply)
-
-    def _build_9fam(self, k, kids):
-        g = td(10, 9)
-        weights = {q: 1 for gi in range(9) for q in g.groups[gi]}
-        for i, q in enumerate(g.groups[9]):
-            weights[q] = 4 if i < k else 2
+    def _weight_td(self, m, group_weights, kids):
+        """Inflate a TD(k, m), k = len(group_weights): point i of group j
+        gets weight group_weights[j][i], and the kids' designs are the
+        ingredients."""
+        g = td(len(group_weights), m)
+        weights = {q: w for group, ws in zip(g.groups, group_weights)
+                   for q, w in zip(group, ws)}
         supply = {kid.target: self.materialize(kid) for kid in kids}
         return weight_inflate(g, weights, supply)
 
@@ -490,10 +454,6 @@ def _note_frontier(notes, what, blocked):
                      + ", ".join(shown) + more)
 
 
-def _divisors(n):
-    return [d for d in range(2, n + 1) if n % d == 0] if n > 1 else []
-
-
 # ---------------------------------------------------------------------------
 # the (n, u) rectangle
 
@@ -503,7 +463,6 @@ class ExistenceTable:
     n_max: int
     u_max: int
     cells: dict = field(default_factory=dict)  # (n, u) -> Outcome
-    materialized: bool = False
     elapsed: float = 0.0
 
     @property
@@ -553,18 +512,13 @@ def table(n_max: int, u_max: int, materialize: bool = False,
     (shared ingredients are reused), so a returned table carries designs
     behind every claim."""
     pv = prover if prover is not None else Prover()
-    tab = ExistenceTable(n_max=n_max, u_max=u_max, materialized=materialize)
+    tab = ExistenceTable(n_max=n_max, u_max=u_max)
     started = time.perf_counter()
     for n in range(4, n_max + 1):
         for u in range(0, u_max + 1):
             out = pv.prove(n, u)
             if out and materialize:
-                design = pv.materialize(out.recipe)
-                got = len(design.blocks)
-                want = expected_block_count(out.type)
-                if got != want:
-                    raise AssertionError(
-                        f"cell ({n}, {u}): built {got} blocks, wanted {want}")
+                pv.materialize(out.recipe)
             tab.cells[(n, u)] = out
             if progress is not None:
                 progress(n, u, out)
@@ -577,7 +531,7 @@ def prove_type(spec, materialize: bool = False, large: bool = False):
     design-or-None)."""
     t = spec if isinstance(spec, TypeSpec) else parse_type(spec)
     pv = Prover(large=large)
-    nu = _three_family(t)
+    nu = t.split(3)
     out = pv.prove(*nu) if nu is not None else pv.resolve(t)
     d = pv.materialize(out.recipe) if (out and materialize) else None
     return out, d

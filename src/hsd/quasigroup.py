@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from hsd.algebra import is_latin_square
 from hsd.core import MAX_ERRORS, Design, canonical_block
 
 
@@ -60,13 +61,9 @@ class Quasigroup:
         """Every element once per row and once per column (total tables only)."""
         if not self.is_total():
             return False
-        es = set(self.elements)
-        for x in self.elements:
-            if {self.table[(x, y)] for y in self.elements} != es:
-                return False
-            if {self.table[(y, x)] for y in self.elements} != es:
-                return False
-        return True
+        idx = self._index
+        return is_latin_square([[idx[self.table[(x, y)]] for y in self.elements]
+                                for x in self.elements])
 
     def is_idempotent(self):
         return all(self.table.get((x, x)) == x for x in self.elements)
@@ -105,16 +102,10 @@ def design_to_quasigroup(design: Design) -> Quasigroup:
     """Idempotent Schroder quasigroup from a design with all holes size 1."""
     if any(len(h) != 1 for h in design.holes):
         raise ValueError(f"type {design.type} has holes larger than 1")
-    table = {p: {} for p in design.points}
-    for p in design.points:
-        table[p][p] = p
-    for a, b, c, d in design.blocks:
-        for x, y, z in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
-            if y in table[x]:
-                raise ValueError(f"product {x!r}*{y!r} defined twice")
-            table[x][y] = z
-    flat = {(x, y): z for x, row in table.items() for y, z in row.items()}
-    q = Quasigroup(design.points, flat)
+    # a block that repeats a point defines its diagonal cell twice, so
+    # design_to_frame already refuses it
+    q = design_to_frame(design)
+    q.table.update({(p, p): p for p in q.elements})
     if not q.is_total():
         raise ValueError("block list does not define a total operation")
     return q

@@ -5,6 +5,7 @@ import pytest
 from hsd.algebra import (
     GDD,
     check_orthogonal,
+    divisors,
     gf,
     is_latin_square,
     mols,
@@ -21,6 +22,17 @@ from hsd.core import parse_type
 def test_prime_factors():
     assert prime_factors(12) == {2: 2, 3: 1}
     assert prime_factors(49) == {7: 2}
+
+
+def test_divisors_match_brute_force():
+    top = 5000
+    sieve = [[] for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for multiple in range(d, top + 1, d):
+            sieve[multiple].append(d)
+    for n in range(1, top + 1):
+        assert divisors(n) == sieve[n], n
+    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

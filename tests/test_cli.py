@@ -10,8 +10,8 @@ import pytest
 
 from hsd import search
 from hsd.catalog import catalog_get
-from hsd.cli import main
-from hsd.core import Design, parse_type, verify_design
+from hsd.cli import _split_uniform, main
+from hsd.core import Design, TypeSpec, parse_type, verify_design
 from hsd.files import parse_design, parse_starter, serialize_design
 from hsd.prover import prove_type
 
@@ -281,6 +281,42 @@ def test_search_verdicts_ignore_the_clock(capsys, monkeypatch, argv, code, head)
     got, _, err = run(capsys, "search", *argv)
     assert got == code
     assert err.startswith(head)
+
+
+def _split_uniform_reference(t):
+    """The CLI's former h^n u^1 reader, kept as the reference for
+    `_split_uniform`."""
+    items = list(t.items)
+    if len(items) == 1:
+        return items[0][0], items[0][1], 0
+    if len(items) == 2:
+        bodies = [(s, c) for s, c in items if c > 1]
+        if len(bodies) == 1:
+            (h, n) = bodies[0]
+            (u,) = [s for s, c in items if c == 1 and s != h]
+            return h, n, u
+    raise ValueError(f"type {t} is not of the h^n u^1 shape these searches need")
+
+
+def _outcome(f, t):
+    try:
+        return f(t)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_split_uniform_matches_the_reference():
+    grid = [TypeSpec.from_counts(dict(zip(sizes, counts)))
+            for k in (1, 2, 3)
+            for sizes in itertools.combinations(range(1, 7), k)
+            for counts in itertools.product(range(1, 7), repeat=k)]
+    assert len(grid) == 4896
+    shapes = 0
+    for t in grid:
+        want = _outcome(_split_uniform_reference, t)
+        assert _outcome(_split_uniform, t) == want, t
+        shapes += isinstance(want, tuple)
+    assert shapes == 6 * 6 + 15 * 2 * 5  # h^n, and h^n u^1 with n > 1
 
 
 # --- constructions ------------------------------------------------------------

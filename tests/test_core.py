@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +107,52 @@ def test_uniform_type():
     assert uniform_type(8, 3) == parse_type("3^9")
     assert uniform_type(8, 0) == parse_type("3^8")
     assert uniform_type(4, 0, h=9) == parse_type("9^4")
+
+
+def _grid_types():
+    """Every type with one to three distinct sizes in 1..6, counts 1..6."""
+    for k in (1, 2, 3):
+        for sizes in combinations(range(1, 7), k):
+            for counts in product(range(1, 7), repeat=k):
+                yield TypeSpec.from_counts(dict(zip(sizes, counts)))
+
+
+def _three_family_reference(t):
+    """The prover's former reader of 3^n and 3^n u^1, kept as the
+    reference for `TypeSpec.split(3)`."""
+    items = dict(t.items)
+    if set(items) == {3}:
+        return items[3], 0
+    if len(items) == 2 and 3 in items:
+        (u,) = [s for s in items if s != 3]
+        if items[u] == 1:
+            return items[3], u
+    return None
+
+
+def test_split_matches_the_three_family_reference():
+    types = list(_grid_types())
+    assert len(types) == 4896
+    for t in types:
+        assert t.split(3) == _three_family_reference(t), t
+
+
+def test_split_inverts_uniform_type():
+    uniform = {(uniform_type(n, u, h=h), h)
+               for h in range(1, 8) for n in range(1, 8) for u in range(8)}
+    for t in _grid_types():
+        for h in range(1, 8):
+            nu = t.split(h)
+            if nu is None:
+                assert (t, h) not in uniform, (t, h)
+            else:
+                assert uniform_type(*nu, h=h) == t, (t, h)
+    assert parse_type("3^8 2^1").split(3) == (8, 2)
+    assert parse_type("2^5 3^1").split(2) == (5, 3)
+    assert parse_type("9^4").split(9) == (4, 0)
+    assert parse_type("3^8 2^2").split(3) is None
+    assert parse_type("3^8 1^1 2^1").split(3) is None
+    assert parse_type("1^5").split(3) is None
 
 
 def test_of_and_from_counts():

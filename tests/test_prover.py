@@ -1,12 +1,15 @@
 """Existence prover: rule chain, materialization, and the bounded table."""
 
+import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
 
+import hsd.prover as prover_mod
 from hsd import search
-from hsd.core import expected_block_count, is_feasible, parse_type, uniform_type, verify_design
+from hsd.core import Design, expected_block_count, is_feasible, parse_type, uniform_type, verify_design
 from hsd.prover import (
     EXISTS,
     INFEASIBLE,
@@ -137,9 +140,56 @@ def test_default_prover_bounds_searches_by_nodes_only(monkeypatch):
     # a clock that jumps 1000 s per reading must not cut the search short
     clock = itertools.count(step=1000.0)
     monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
-    out = Prover(search_nodes=1000).resolve(parse_type("1^7"))
+    out = Prover(search_nodes=1000).resolve(parse_type("1^7 3^1"))
     assert out.verdict == UNKNOWN_HERE
     assert out.notes == ("search hit its budget (1001 nodes)",)
+
+
+def test_odd_cross_pair_types_run_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search_direct called")
+
+    monkeypatch.setattr(prover_mod, "search_direct", no_search)
+    for text, cross in (("1^6 2^1", 27), ("1^7", 21), ("1^6", 15), ("1^7 2^1", 35)):
+        out = Prover().resolve(parse_type(text))
+        assert out.verdict == UNKNOWN_HERE
+        assert out.notes == (f"type {text} has an odd cross-pair count {cross}, so no "
+                             "design exists; verdict stays UNKNOWN_HERE by policy",)
+
+
+def test_searched_designs_are_verified(monkeypatch):
+    # a search that hands back a design one block short must not get past
+    # materialize, whether the design came from the plan or a replay
+    real = prover_mod.search_direct
+
+    def one_block_short(t, **kwargs):
+        res = real(t, **kwargs)
+        if res:
+            d = res.design
+            res = dataclasses.replace(res, design=Design(d.structure, d.blocks[1:]))
+        return res
+
+    monkeypatch.setattr(prover_mod, "search_direct", one_block_short)
+    with pytest.raises(AssertionError, match="failed verification"):
+        prove_type("1^5 2^1", materialize=True)
+
+
+def test_resolve_calls_are_frozen(monkeypatch):
+    # the sequence of resolve calls that plans table(30, 45), recorded
+    # before the two filling rules shared one loop
+    calls = []
+    resolve = Prover.resolve
+
+    def record(self, t):
+        calls.append(str(t))
+        return resolve(self, t)
+
+    monkeypatch.setattr(Prover, "resolve", record)
+    tab = table(30, 45, prover=Prover(search_nodes=50_000))
+    assert len(calls) == 4465
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    assert digest == "18abc51368f81bf47ad370c7f24af3f49e30a6d94a094f76d4816957112b64d0"
+    assert len(tab.unknown_cells()) == 50
 
 
 def test_search_seconds_takes_only_none():

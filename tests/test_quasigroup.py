@@ -1,6 +1,7 @@
 """Quasigroup side of the equivalence, plus the two-checker mutation battery."""
 
 import ast
+import hashlib
 import random
 from pathlib import Path
 
@@ -35,6 +36,34 @@ def test_design_to_quasigroup_on_unit_holes():
 def test_design_to_quasigroup_refuses_bigger_holes():
     with pytest.raises(ValueError):
         design_to_quasigroup(catalog_get("A1/3^8 1^1").design())
+
+
+# sha256 of repr(sorted(q.table.items())), recorded before design_to_quasigroup
+# was built on design_to_frame
+QUASIGROUP_TABLES = {
+    "S/1^4": "d8b3a6ea4fa94728451ed8a01fbeff774ffce5e5470b795e53745102cacaec25",
+    "S/1^8": "d0599ac8fc3779342e74283c959c4d13d35d6d75d21feef1ee7b9b1ed1a9f1e6",
+}
+
+
+@pytest.mark.parametrize("eid", sorted(QUASIGROUP_TABLES))
+def test_design_to_quasigroup_tables_are_frozen(eid):
+    d = catalog_get(eid).design()
+    q = design_to_quasigroup(d)
+    assert q.elements == d.points
+    digest = hashlib.sha256(repr(sorted(q.table.items())).encode()).hexdigest()
+    assert digest == QUASIGROUP_TABLES[eid]
+
+
+def test_design_to_quasigroup_names_a_doubled_cell():
+    d = catalog_get("S/1^4").design()
+    with pytest.raises(ValueError, match=r"^product 0\*1 defined twice$"):
+        design_to_quasigroup(Design(d.holes, list(d.blocks) + [d.blocks[0]]))
+    # a repeated point puts a product on the diagonal
+    with pytest.raises(ValueError, match=r"^product 0\*0 defined twice$"):
+        design_to_quasigroup(Design(d.holes, [(0, 0, 1, 2)]))
+    with pytest.raises(ValueError, match="does not define a total operation"):
+        design_to_quasigroup(Design(d.holes, d.blocks[1:]))
 
 
 def test_quasigroup_design_round_trip():
