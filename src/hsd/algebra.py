@@ -73,13 +73,8 @@ class GF:
                 for a in range(q)
             ]
             self.mul_table = [[self._polymul(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
         for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
+            if 1 not in self.mul_table[a]:
                 raise ValueError(f"{a} has no inverse; modulus for GF({q}) is reducible")
 
     def _dec(self, a: int) -> tuple:
@@ -111,26 +106,11 @@ class GF:
                     prod[i - self.k + j] = (prod[i - self.k + j] - c * m) % p
         return self._enc(prod[: self.k])
 
-    @property
-    def elements(self):
-        return range(self.q)
-
     def add(self, a, b):
         return self.add_table[a][b]
 
     def mul(self, a, b):
         return self.mul_table[a][b]
-
-    def neg(self, a):
-        for b in range(self.q):
-            if self.add_table[a][b] == 0:
-                return b
-        raise AssertionError
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
 
 
 @lru_cache(maxsize=None)
@@ -250,9 +230,6 @@ class GDD:
     @property
     def type(self) -> TypeSpec:
         return TypeSpec.from_counts(Counter(len(g) for g in self.groups))
-
-    def block_sizes(self) -> set:
-        return {len(b) for b in self.blocks}
 
     def __repr__(self):
         return f"GDD({self.type}, {len(self.blocks)} blocks, lambda={self.lam})"

@@ -103,10 +103,6 @@ def _entries() -> list:
     return _cache
 
 
-def catalog_ids() -> list:
-    return [e.id for e in _entries()]
-
-
 def catalog_list(table=None, status=None, kind=None) -> list:
     out = []
     for e in _entries():

@@ -131,7 +131,7 @@ def cmd_feasible(args) -> int:
         blocks = expected_block_count(uniform_type(args.n, args.u))
         print(f"feasible, expected {blocks} blocks")
         return OK
-    slug = next(_CHECK_SLUGS[label] for label, ok, _ in rep.checks if not ok)
+    slug = _CHECK_SLUGS[rep.failed()[0]]
     print(f"infeasible: {slug}")
     return NEGATIVE
 

@@ -8,7 +8,7 @@ expected to run verify_design on the output, which the test suite does.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 
 from hsd.algebra import GDD, mols_pair
 from hsd.core import Design, TypeSpec
@@ -62,26 +62,16 @@ def weight_inflate(gdd: GDD, weights, supply) -> Design:
 
     blocks = []
     for blk in gdd.blocks:
-        sizes = [weights.get(p, 0) for p in blk]
-        positive = [s for s in sizes if s]
-        if not positive:
+        # stable, so equal weights keep block order; the ingredient's holes ascend by size
+        weighted = sorted((p for p in blk if weights.get(p, 0)), key=weights.__getitem__)
+        if not weighted:
             continue
-        spec = TypeSpec.of(*positive)
+        spec = TypeSpec.of(*(weights[p] for p in weighted))
         ingredient = supply[spec]
         if ingredient.type != spec:
             raise ValueError(f"supplied type {ingredient.type}, block needs {spec}")
-        # match ingredient holes to block points of the same weight
-        by_size = defaultdict(list)
-        for p, s in zip(blk, sizes):
-            if s:
-                by_size[s].append(p)
-        mapping = {}
-        used = Counter()
-        for hole in ingredient.holes:
-            owner = by_size[len(hole)][used[len(hole)]]
-            used[len(hole)] += 1
-            for i, q in enumerate(hole):
-                mapping[q] = first[owner] + i
+        mapping = {q: first[p] + i for p, hole in zip(weighted, ingredient.holes)
+                   for i, q in enumerate(hole)}
         for ib in ingredient.blocks:
             blocks.append(tuple(mapping[q] for q in ib))
     return Design(holes, blocks)

@@ -97,9 +97,6 @@ class TypeSpec:
     def of(*sizes: int) -> "TypeSpec":
         return TypeSpec.from_counts(Counter(sizes))
 
-    def counts(self) -> Counter:
-        return Counter(dict(self.items))
-
     def sizes(self) -> list:
         """All hole sizes with multiplicity, ascending."""
         out = []
@@ -246,10 +243,6 @@ class HoleStructure:
 
     def type(self) -> TypeSpec:
         return TypeSpec.from_counts(Counter(len(h) for h in self.holes))
-
-    def cross_pair_count(self) -> int:
-        total = comb(len(self.points), 2)
-        return total - sum(comb(len(h), 2) for h in self.holes)
 
     def __eq__(self, other):
         return isinstance(other, HoleStructure) and self.holes == other.holes
@@ -410,7 +403,7 @@ def _verify_by_counting(design: Design) -> VerificationReport:
         if count > 1:
             note(f"pair {item[0]!r} covered {count} times in color {item[1]}")
 
-    want_total = 3 * st.cross_pair_count()
+    want_total = 6 * expected  # two pairs per color per block
     got_total = sum(covered.values())
     if got_total != want_total or len(covered) != want_total:
         # only hunt for the missing pairs when something is actually wrong

@@ -17,6 +17,7 @@ byte-identical.
 
 from dataclasses import dataclass, field
 import io
+import itertools
 import math
 import time
 
@@ -111,12 +112,53 @@ class Outcome:
         return "\n".join(lines)
 
 
-def _g6_weights(m: int, u: int):
-    """Weight vector over {4, 2, 0} of length m summing to u (u even)."""
-    fours, rem = divmod(u, 4)
-    vec = [4] * fours + ([2] if rem else [])
-    assert len(vec) <= m and rem in (0, 2)
-    return vec + [0] * (m - len(vec))
+def _tdw_shapes(t: TypeSpec):
+    """The (m, k, u) for which t = (3m)^4 (3k)^1 u^1 comes from weighting a
+    TD(6, m), in the order R-TDW tries them.  Four holes of size 3m go to
+    four groups; the rest (at most two, of distinct sizes) are the 3k hole
+    and the u hole, and a fifth 3m hole is the 3k hole."""
+    for size, count in t.items:
+        m, r = divmod(size, 3)
+        if r or count not in (4, 5) or m < 4 or not td_constructible(6, m):
+            continue
+        rest = [s for s in t.sizes() if s != size]
+        if len(rest) + count > 6 or len(set(rest)) < len(rest):
+            continue
+        if count == 5:
+            options = [(m, rest)]
+        else:
+            options = [(x // 3, [y for y in rest if y != x])
+                       for x in rest if x % 3 == 0 and x // 3 <= m]
+            if len(rest) <= 1:
+                options.append((0, rest))
+        for k, left in options:
+            u = sum(left)
+            if u % 2 == 0 and u <= 4 * m:
+                yield m, k, u
+
+
+def _tdw_groups(m: int, k: int, u: int) -> list:
+    """Weights on the six groups of a TD(6, m): 3 on four groups and on k
+    points of the fifth, and {4, 2, 0} summing to u (even) on the sixth."""
+    fours, twos = u // 4, u % 4 // 2
+    return [[3] * m] * 4 + [[3] * k + [0] * (m - k),
+                            [4] * fours + [2] * twos + [0] * (m - fours - twos)]
+
+
+def _9fam_groups(k: int) -> list:
+    """Weights on the ten groups of a TD(10, 9): 1 on nine groups, and 4 on
+    k points and 2 on the rest of the last."""
+    return [[1] * 9] * 9 + [[4] * k + [2] * (9 - k)]
+
+
+def _td_ingredients(groups) -> list:
+    """Hole types of the blocks of a TD weighted by `groups`, in first-seen
+    order.  A block meets every group once, and when at most two groups mix
+    weights every combination of the groups' distinct weights occurs in
+    some block, since the TD puts each pair from two groups in a block."""
+    kinds = [dict.fromkeys(ws) for ws in groups]
+    return list(dict.fromkeys(TypeSpec.of(*(w for w in combo if w))
+                              for combo in itertools.product(*kinds)))
 
 
 class Prover:
@@ -238,66 +280,19 @@ class Prover:
         return None
 
     def _r_tdw(self, t, notes):
-        """Weight a TD(6, m): four groups at weight 3, k points of the fifth
-        at weight 3, the sixth carrying weights from {4, 2, 0} summing to u.
-        Yields (3m)^4 (3k)^1 u^1 with u even, 0 <= k <= m, 0 <= u <= 4m."""
-        items = dict(t.items)
+        """Weight a TD(6, m) by `_tdw_groups` into (3m)^4 (3k)^1 u^1, for
+        each shape `_tdw_shapes` reads off t."""
         blocked = []
-        for size in sorted(items):
-            if size % 3 or items[size] not in (4, 5):
-                continue
-            m = size // 3
-            if m < 4 or not td_constructible(6, m):
-                continue
-            rest = sorted(s for s in items if s != size)
-            if any(items[s] != 1 for s in rest) or len(rest) > 2:
-                continue
-            if items[size] == 5:
-                # one of the five big holes plays the 3k hole, k = m
-                options = [(m, 0)] if not rest else (
-                    [(m, rest[0])] if len(rest) == 1 else [])
-            elif not rest:
-                options = [(0, 0)]
-            elif len(rest) == 1:
-                x = rest[0]
-                options = ([(x // 3, 0)] if x % 3 == 0 and x // 3 <= m else []) \
-                    + [(0, x)]
-            else:
-                x, y = rest
-                options = []
-                for kk, uu in ((x, y), (y, x)):
-                    if kk % 3 == 0 and kk // 3 <= m:
-                        options.append((kk // 3, uu))
-            for k, u in options:
-                if u % 2 or u > 4 * m:
-                    continue
-                needed = self._tdw_ingredients(m, k, u)
-                plans = [self.resolve(spec) for spec in needed]
-                if all(plans):
-                    params = (("m", m), ("k", k), ("u", u))
-                    return Recipe("R-TDW", t, params,
-                                  tuple(p.recipe for p in plans))
-                blocked.extend(str(spec) for spec, p in zip(needed, plans)
-                               if p.verdict == UNKNOWN_HERE)
+        for m, k, u in _tdw_shapes(t):
+            needed = sorted(_td_ingredients(_tdw_groups(m, k, u)), key=str)
+            plans = [self.resolve(spec) for spec in needed]
+            if all(plans):
+                params = (("m", m), ("k", k), ("u", u))
+                return Recipe("R-TDW", t, params, tuple(p.recipe for p in plans))
+            blocked.extend(str(spec) for spec, p in zip(needed, plans)
+                           if p.verdict == UNKNOWN_HERE)
         _note_frontier(notes, "weighting a TD(6, m)", blocked)
         return None
-
-    @staticmethod
-    def _tdw_ingredients(m, k, u):
-        """Ingredient types for the TD(6, m) weighting: every pair of a
-        fifth-group and sixth-group weight occurs in some block."""
-        w5 = set()
-        if k > 0:
-            w5.add(3)
-        if k < m:
-            w5.add(0)
-        w6 = set(_g6_weights(m, u))
-        needed = set()
-        for a in w5:
-            for b in w6:
-                base = [3, 3, 3, 3] + ([a] if a else []) + ([b] if b else [])
-                needed.add(TypeSpec.of(*base))
-        return sorted(needed, key=str)
 
     def _r_mul(self, t, notes):
         g = math.gcd(*(s for s, _ in t.items))
@@ -377,12 +372,7 @@ class Prover:
         if u % 2 or not 18 <= u <= 36:
             return None
         k = (u - 18) // 2
-        needed = []
-        if k > 0:
-            needed.append(TypeSpec.of(*([1] * 9 + [4])))
-        if k < 9:
-            needed.append(TypeSpec.of(*([1] * 9 + [2])))
-        plans = [self.resolve(spec) for spec in needed]
+        plans = [self.resolve(spec) for spec in _td_ingredients(_9fam_groups(k))]
         if all(plans):
             return Recipe("R-9FAM", t, (("k", k),),
                           tuple(p.recipe for p in plans))
@@ -421,9 +411,7 @@ class Prover:
                 raise AssertionError(f"search replay lost {recipe.target}")
             return res.design
         if rule == "R-TDW":
-            m, k = p["m"], p["k"]
-            return self._weight_td(
-                m, [[3] * m] * 4 + [[3] * k + [0] * (m - k), _g6_weights(m, p["u"])], kids)
+            return self._weight_td(_tdw_groups(p["m"], p["k"], p["u"]), kids)
         if rule == "R-MUL":
             return multiply(self.materialize(kids[0]), p["m"])
         if rule in ("R-FILL-A", "R-FILL-B"):
@@ -431,15 +419,14 @@ class Prover:
             fill = fill_holes_a if rule == "R-FILL-A" else fill_holes_b
             return fill(outer, p["v"], *inners, keep_size=p["w"] or None)
         if rule == "R-9FAM":
-            k = p["k"]
-            return self._weight_td(9, [[1] * 9] * 9 + [[4] * k + [2] * (9 - k)], kids)
+            return self._weight_td(_9fam_groups(p["k"]), kids)
         raise ValueError(f"rule {rule} cannot be materialized")
 
-    def _weight_td(self, m, group_weights, kids):
-        """Inflate a TD(k, m), k = len(group_weights): point i of group j
-        gets weight group_weights[j][i], and the kids' designs are the
-        ingredients."""
-        g = td(len(group_weights), m)
+    def _weight_td(self, group_weights, kids):
+        """Inflate a TD(k, m), k = len(group_weights) and m the length of
+        each group's list: point i of group j gets weight
+        group_weights[j][i], and the kids' designs are the ingredients."""
+        g = td(len(group_weights), len(group_weights[0]))
         weights = {q: w for group, ws in zip(g.groups, group_weights)
                    for q, w in zip(group, ws)}
         supply = {kid.target: self.materialize(kid) for kid in kids}

@@ -399,8 +399,9 @@ def search_starters(
     class is the lowest bit left in color 1.  The first "timeout" below
     ends the node.
     """
-    g = hole_size * n
-    same = {(j * n) % g for j in range(1, hole_size)}
+    geometry = StarterSet(modulus=hole_size * n, hole_size=hole_size, step=1, u=u, starters=())
+    g = geometry.modulus
+    same = geometry.same_hole_differences()
     if g % 2 == 0 and (g // 2) not in same:
         # any step-1 slot of difference g/2 covers its pairs twice over
         return SearchResult(NONE)
@@ -464,13 +465,5 @@ def search_starters(
         return NONE
 
     status = descend(u, full, full, full)
-    ss = None
-    if status == FOUND:
-        ss = StarterSet(
-            modulus=g,
-            hole_size=hole_size,
-            step=1,
-            u=u,
-            starters=tuple(reversed(chosen)),
-        )
+    ss = replace(geometry, starters=tuple(reversed(chosen))) if status == FOUND else None
     return SearchResult(status, starter_set=ss, nodes=budget.nodes, elapsed=budget.elapsed)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hsd import algebra
 from hsd.algebra import (
     GDD,
     check_orthogonal,
@@ -35,23 +36,29 @@ def test_divisors_match_brute_force():
     assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", sorted({2, 3, 5, 7, *algebra._IRREDUCIBLE}))
 def test_field_axioms(q):
     f = gf(q)
-    els = list(f.elements)
-    assert len(els) == q
-    zero, one = els[0], els[1] if q > 1 else els[0]
+    els = range(q)  # 0 and 1 encode the field's zero and one
     for a in els:
-        assert f.add(a, zero) == a
-        assert f.mul(a, one) == a
-        assert f.add(a, f.neg(a)) == zero
-        if a != zero:
-            assert f.mul(a, f.inv(a)) == one
+        assert f.add(a, 0) == a
+        assert f.mul(a, 1) == a
+        assert [f.add(a, b) for b in els].count(0) == 1  # one negative
+        if a:
+            assert [f.mul(a, b) for b in els].count(1) == 1  # one inverse
         for b in els:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
-            for c in els:
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            ab, times_a = f.mul(a, b), f.mul_table[a]
+            for c, bc in enumerate(f.add_table[b]):
+                assert times_a[bc] == f.add(ab, times_a[c])  # a(b + c) = ab + ac
+
+
+def test_gf_rejects_a_reducible_modulus(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2), so x + 1 has no inverse
+    monkeypatch.setitem(algebra._IRREDUCIBLE, 4, (1, 0, 1))
+    with pytest.raises(ValueError, match="modulus for GF\\(4\\) is reducible"):
+        algebra.GF(4)
 
 
 def test_gf_rejects_composite_orders():
@@ -103,7 +110,7 @@ def test_td_shapes():
     g = td(4, 3)
     assert g.type == parse_type("3^4")
     assert len(g.blocks) == 9
-    assert g.block_sizes() == {4}
+    assert {len(b) for b in g.blocks} == {4}
     assert verify_gdd(g).ok
 
     g = td(6, 5)
@@ -129,7 +136,7 @@ def test_gdd_accessors():
     g = GDD(groups=[(0, 1), (2, 3), (4, 5)], blocks=[(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)])
     assert g.type == parse_type("2^3")
     assert g.points == (0, 1, 2, 3, 4, 5)
-    assert g.block_sizes() == {3}
+    assert {len(b) for b in g.blocks} == {3}
     assert verify_gdd(g).ok
 
 

@@ -7,7 +7,6 @@ import pytest
 from hsd.catalog import (
     CatalogEntry,
     catalog_get,
-    catalog_ids,
     catalog_list,
     verify_entry,
 )
@@ -21,7 +20,7 @@ EXPECTED_TABLES = {
 
 
 def test_catalog_inventory():
-    ids = catalog_ids()
+    ids = [e.id for e in catalog_list()]
     assert len(ids) == 106
     assert len(set(ids)) == 106
     assert {e.table for e in catalog_list()} == EXPECTED_TABLES

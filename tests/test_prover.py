@@ -9,7 +9,17 @@ import pytest
 
 import hsd.prover as prover_mod
 from hsd import search
-from hsd.core import Design, expected_block_count, is_feasible, parse_type, uniform_type, verify_design
+from hsd.algebra import td_constructible
+from hsd.core import (
+    Design,
+    TypeSpec,
+    expected_block_count,
+    is_feasible,
+    parse_type,
+    uniform_type,
+    verify_design,
+)
+from hsd.files import serialize_design
 from hsd.prover import (
     EXISTS,
     INFEASIBLE,
@@ -110,6 +120,91 @@ def test_resolve_nine_family_rule(prover):
     d = prover.materialize(out.recipe)
     assert len(d.blocks) == expected_block_count(parse_type("9^9 20^1")) == 2268
     assert verify_design(d).ok
+
+
+# The weight readings as they stood before one weight list per rule fed
+# planning, building and inflation; kept as references.
+
+def _reference_tdw_shapes(t):
+    items = dict(t.items)
+    out = []
+    for size in sorted(items):
+        if size % 3 or items[size] not in (4, 5):
+            continue
+        m = size // 3
+        if m < 4 or not td_constructible(6, m):
+            continue
+        rest = sorted(s for s in items if s != size)
+        if any(items[s] != 1 for s in rest) or len(rest) > 2:
+            continue
+        if items[size] == 5:
+            options = [(m, 0)] if not rest else ([(m, rest[0])] if len(rest) == 1 else [])
+        elif not rest:
+            options = [(0, 0)]
+        elif len(rest) == 1:
+            x = rest[0]
+            options = ([(x // 3, 0)] if x % 3 == 0 and x // 3 <= m else []) + [(0, x)]
+        else:
+            x, y = rest
+            options = [(kk // 3, uu) for kk, uu in ((x, y), (y, x))
+                       if kk % 3 == 0 and kk // 3 <= m]
+        out.extend((m, k, u) for k, u in options if not (u % 2 or u > 4 * m))
+    return out
+
+
+def _reference_tdw_ingredients(m, k, u):
+    fours, rem = divmod(u, 4)
+    g6 = [4] * fours + ([2] if rem else [])
+    w6 = set(g6 + [0] * (m - len(g6)))
+    w5 = ({3} if k > 0 else set()) | ({0} if k < m else set())
+    needed = {TypeSpec.of(*[3, 3, 3, 3] + ([a] if a else []) + ([b] if b else []))
+              for a in w5 for b in w6}
+    return sorted(needed, key=str)
+
+
+def test_tdw_shapes_and_ingredients_match_the_reference():
+    checked = shapes_seen = 0
+    others = [()] + [(x,) for x in range(1, 60)] + list(
+        itertools.combinations_with_replacement(range(1, 60), 2))
+    for m in range(4, 14):
+        for count in (4, 5):
+            for extra in others:
+                t = TypeSpec.of(*[3 * m] * count, *extra)
+                if t.points > 300:
+                    continue
+                shapes = list(prover_mod._tdw_shapes(t))
+                assert shapes == _reference_tdw_shapes(t), t
+                for mm, k, u in shapes:
+                    groups = prover_mod._tdw_groups(mm, k, u)
+                    assert TypeSpec.of(*(s for s in map(sum, groups) if s)) == t
+                    assert all(len(g) == mm for g in groups)
+                    got = sorted(prover_mod._td_ingredients(groups), key=str)
+                    assert got == _reference_tdw_ingredients(mm, k, u), (t, mm, k, u)
+                    shapes_seen += 1
+                checked += 1
+    assert checked > 20_000 and shapes_seen > 1_000
+
+
+def test_nine_family_ingredients_match_the_reference():
+    for k in range(10):
+        want = ([parse_type("1^9 4^1")] if k > 0 else []) + (
+            [parse_type("1^9 2^1")] if k < 9 else [])
+        groups = prover_mod._9fam_groups(k)
+        assert prover_mod._td_ingredients(groups) == want
+        assert TypeSpec.of(*map(sum, groups)) == uniform_type(9, 18 + 2 * k, 9)
+
+
+@pytest.mark.parametrize("text, rule, digest", [
+    # recorded before one weight list per rule fed planning and building
+    ("3^51 49^1", "R-TDW", "cdaeddd7f024dd6dbe26389593fb2318293ab3004a2fd0142c388776ff062357"),
+    # its sixth group mixes weights 4 and 2
+    ("3^51 43^1", "R-TDW", "e3e9267c010e19a190ba2ff45a791ba8810be2c9c71ada0bb055adf7abcab902"),
+    ("3^27 31^1", "R-9FAM", "d8b2590192cc24f55f7ca51a2efce45c50d4ecbe6e195b4a987f2bc52e028006"),
+], ids=["tdw", "tdw-mixed", "9fam"])
+def test_weighted_designs_are_frozen(text, rule, digest):
+    out, d = prove_type(text, materialize=True, large=True)
+    assert rule in out.recipe.describe()
+    assert hashlib.sha256(serialize_design(d).encode()).hexdigest() == digest
 
 
 def test_desk_scale_cap(prover):
