@@ -11,11 +11,10 @@ the caller can tell "cannot exist" from "not built here".
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
-from hsd.core import MAX_ERRORS, TypeSpec
+from hsd.core import Diagnostics, TypeSpec, VerificationReport
 
 # irreducible over GF(p), coefficients low degree first
 _IRREDUCIBLE = {
@@ -177,8 +176,8 @@ def mols(m: int, k: int) -> list:
     for other orders with a lone factor of 2 a pair exists but is beyond
     the product construction, hence NotImplementedError.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if m < 1 or k < 1:
+        raise ValueError(f"order and count must be positive, got m = {m}, k = {k}")
     cap = mols_capacity(m)
     if k > cap:
         if k == 2 and m in (2, 6):
@@ -235,33 +234,19 @@ class GDD:
         return f"GDD({self.type}, {len(self.blocks)} blocks, lambda={self.lam})"
 
 
-@dataclass
-class GDDReport:
-    ok: bool
-    errors: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_gdd(gdd: GDD) -> GDDReport:
-    errors = []
-
-    def note(msg):
-        if len(errors) < MAX_ERRORS:
-            errors.append(msg)
-
+def verify_gdd(gdd: GDD) -> VerificationReport:
+    errors = Diagnostics()
     cover = Counter()
     for blk in gdd.blocks:
         if len(set(blk)) != len(blk):
-            note(f"block {blk!r} repeats a point")
+            errors.note(f"block {blk!r} repeats a point")
             continue
         if any(p not in gdd._group_of for p in blk):
-            note(f"block {blk!r} uses unknown points")
+            errors.note(f"block {blk!r} uses unknown points")
             continue
         hit = [gdd._group_of[p] for p in blk]
         if len(set(hit)) != len(hit):
-            note(f"block {blk!r} meets a group twice")
+            errors.note(f"block {blk!r} meets a group twice")
             continue
         for i, p in enumerate(blk):
             for q in blk[i + 1 :]:
@@ -276,11 +261,11 @@ def verify_gdd(gdd: GDD) -> GDDReport:
             expected += 1
             c = cover.get(frozenset((p, q)), 0)
             if c != gdd.lam:
-                note(f"pair {{{p!r}, {q!r}}} in {c} blocks, wants {gdd.lam}")
+                errors.note(f"pair {{{p!r}, {q!r}}} in {c} blocks, wants {gdd.lam}")
     stray = sum(cover.values()) - gdd.lam * expected
     if not errors and stray:
-        note(f"{stray} extra pair slots beyond the cross-group pairs")
-    return GDDReport(ok=not errors, errors=errors)
+        errors.note(f"{stray} extra pair slots beyond the cross-group pairs")
+    return VerificationReport(not errors, errors)
 
 
 def td(k: int, m: int) -> GDD:

@@ -3,7 +3,8 @@
 Entries live as data files under hsd/data with a checksummed manifest.
 Canonical ids are "<table>/<type>" ("A1/3^8 1^1", "C2/9^5 2^1", "S/3^5",
 "GDD/3^4"); lookup also accepts a bare table name when unique ("Ex2.1")
-and a bare type when unique ("3^13 16^1").
+and the type of a design or starter entry ("3^13 16^1"), of which there
+is one per type.
 
 Statuses:
     verbatim  transcribed as printed
@@ -21,13 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
 from hsd.algebra import verify_gdd
 from hsd.core import Design, TypeSpec, parse_type, verify_design
-from hsd.development import StarterSet, develop, orbit_length
+from hsd.development import StarterSet, develop
 from hsd.files import parse_design, parse_gdd, parse_starter
 
 _PARSERS = {"starter": parse_starter, "design": parse_design, "gdd": parse_gdd}
@@ -78,10 +78,11 @@ class CatalogEntry:
 
 
 _cache = None
+_by_type = None  # TypeSpec -> the design or starter entry of that type
 
 
 def _entries() -> list:
-    global _cache
+    global _cache, _by_type
     if _cache is None:
         manifest = json.loads((_data_dir() / "manifest.json").read_text())
         if manifest.get("format") != 1:
@@ -100,7 +101,14 @@ def _entries() -> list:
             )
             for row in manifest["entries"]
         ]
+        _by_type = {e.type: e for e in _cache if e.kind != "gdd"}
     return _cache
+
+
+def catalog_for_type(t: TypeSpec):
+    """The design or starter entry of type t, or None."""
+    _entries()
+    return _by_type.get(t)
 
 
 def catalog_list(table=None, status=None, kind=None) -> list:
@@ -117,7 +125,8 @@ def catalog_list(table=None, status=None, kind=None) -> list:
 
 
 def catalog_get(key: str) -> CatalogEntry:
-    """Resolve an id, a unique table name, or a unique type string."""
+    """Resolve an id, a unique table name, or the type of a design or
+    starter entry."""
     entries = _entries()
     for e in entries:
         if e.id == key:
@@ -128,20 +137,12 @@ def catalog_get(key: str) -> CatalogEntry:
     if hits:
         return hits[0]
     try:
-        t = parse_type(key)
+        hit = catalog_for_type(parse_type(key))
     except ValueError:
-        t = None
-    if t is not None:
-        hits = [e for e in entries if e.type == t]
-        if len(hits) > 1:
-            # a GDD may share its type with a design of the same name
-            non_gdd = [e for e in hits if e.kind != "gdd"]
-            if len(non_gdd) == 1:
-                return non_gdd[0]
-            raise KeyError(f"{key!r} is ambiguous: " + ", ".join(e.id for e in hits))
-        if hits:
-            return hits[0]
-    raise KeyError(f"no catalog entry {key!r}")
+        hit = None
+    if hit is None:
+        raise KeyError(f"no catalog entry {key!r}")
+    return hit
 
 
 @dataclass
@@ -152,9 +153,7 @@ class CatalogRow:
     ok: bool
     blocks: int
     expected: object
-    orbit_census: dict  # orbit length -> starter count (starter entries)
     errors: list
-    elapsed: float
 
 
 @dataclass
@@ -172,25 +171,15 @@ class CatalogReport:
 
 def verify_entry(e: CatalogEntry) -> CatalogRow:
     """Develop (if needed) and certify one entry from scratch."""
-    t0 = time.perf_counter()
-    errors = []
-    census = {}
     if e.kind == "gdd":
         g = e.load()
-        rep = verify_gdd(g)
-        errors = list(rep.errors)
+        errors = list(verify_gdd(g).errors)
         blocks = len(g.blocks)
         if g.type != e.type:
             errors.append(f"manifest type {e.type}, file holds {g.type}")
     else:
-        obj = e.load()
-        if isinstance(obj, StarterSet):
-            census = dict(
-                sorted(Counter(orbit_length(s, obj.modulus, obj.step) for s in obj.starters).items())
-            )
         d = e.design()
-        rep = verify_design(d)
-        errors = list(rep.errors)
+        errors = list(verify_design(d).errors)
         blocks = len(d.blocks)
         if d.type != e.type:
             errors.append(f"manifest type {e.type}, entry develops to {d.type}")
@@ -203,9 +192,7 @@ def verify_entry(e: CatalogEntry) -> CatalogRow:
         ok=not errors,
         blocks=blocks,
         expected=e.expected_blocks,
-        orbit_census=census,
         errors=errors,
-        elapsed=time.perf_counter() - t0,
     )
 
 

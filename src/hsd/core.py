@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Block = tuple  # 4-tuple of int points
 
@@ -293,16 +293,23 @@ class Design:
         return f"Design({self.type}, {len(self.blocks)} blocks)"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """What every checker returns: its verdict and its diagnostics.
+    Unpacks as `ok, errors` and is truthy exactly when ok."""
+
     ok: bool
-    type: TypeSpec
-    block_count: int
-    expected_blocks: int
-    errors: list = field(default_factory=list)
+    errors: list
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class Diagnostics(list):
+    """A checker's error list: `note` keeps the first `MAX_ERRORS` messages."""
+
+    def note(self, msg: str) -> None:
+        if len(self) < MAX_ERRORS:
+            self.append(msg)
 
 
 def verify_design(design: Design) -> VerificationReport:
@@ -321,8 +328,7 @@ def verify_design(design: Design) -> VerificationReport:
     pass trusts the construction that produced the design.
     """
     if _flags_each_slot_once(design):
-        n = len(design.blocks)
-        return VerificationReport(True, design.type, n, n)
+        return VerificationReport(True, [])
     return _verify_by_counting(design)
 
 
@@ -366,42 +372,36 @@ def _verify_by_counting(design: Design) -> VerificationReport:
     """The counting verifier: same verdict as `verify_design`, plus the
     diagnostics it reports."""
     st = design.structure
-    t = st.type()
-    errors = []
-
-    def note(msg):
-        if len(errors) < MAX_ERRORS:
-            errors.append(msg)
-
+    errors = Diagnostics()
     try:
-        expected = expected_block_count(t)
+        expected = expected_block_count(st.type())
     except ValueError as exc:
         # A parity-impossible type can still be reported on, with no blocks valid.
-        return VerificationReport(False, t, len(design.blocks), -1, [str(exc)])
+        return VerificationReport(False, [str(exc)])
 
     seen = Counter()
     covered = Counter()
     for blk in design.blocks:
         if len(blk) != 4:
-            note(f"block {blk!r} does not have 4 entries")
+            errors.note(f"block {blk!r} does not have 4 entries")
             continue
         if any(p not in st._hole_of for p in blk):
-            note(f"block {blk!r} uses unknown points")
+            errors.note(f"block {blk!r} uses unknown points")
             continue
         holes_hit = {st.hole_of(p) for p in blk}
         if len(holes_hit) != 4:
-            note(f"block {blk!r} meets a hole twice")
+            errors.note(f"block {blk!r} meets a hole twice")
             continue
         key = canonical_block(blk)
         seen[key] += 1
         if seen[key] == 2:
-            note(f"block {key!r} occurs more than once")
+            errors.note(f"block {key!r} occurs more than once")
         for pr, color in block_pairs(blk):
             covered[(pr, color)] += 1
 
     for item, count in covered.items():
         if count > 1:
-            note(f"pair {item[0]!r} covered {count} times in color {item[1]}")
+            errors.note(f"pair {item[0]!r} covered {count} times in color {item[1]}")
 
     want_total = 6 * expected  # two pairs per color per block
     got_total = sum(covered.values())
@@ -410,15 +410,15 @@ def _verify_by_counting(design: Design) -> VerificationReport:
         if len(errors) < MAX_ERRORS:
             missing = _first_missing_pairs(st, covered, MAX_ERRORS - len(errors))
             for pr, color in missing:
-                note(f"pair {pr!r} missing in color {color}")
+                errors.note(f"pair {pr!r} missing in color {color}")
         if not errors:
-            note(f"covered {got_total} pair slots, expected {want_total}")
+            errors.note(f"covered {got_total} pair slots, expected {want_total}")
 
     if len(design.blocks) != expected:
-        note(f"{len(design.blocks)} blocks, expected {expected}")
+        errors.note(f"{len(design.blocks)} blocks, expected {expected}")
 
     ok = not errors and got_total == want_total and len(covered) == want_total
-    return VerificationReport(ok, t, len(design.blocks), expected, errors)
+    return VerificationReport(ok, errors)
 
 
 def _first_missing_pairs(st: HoleStructure, covered: Counter, limit: int) -> list:

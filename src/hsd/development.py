@@ -17,7 +17,7 @@ the design, which makes it a useful independent check on `develop`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from hsd.algebra import divisors
@@ -25,7 +25,9 @@ from hsd.core import (
     COLORS,
     MAX_ERRORS,
     Design,
+    Diagnostics,
     TypeSpec,
+    VerificationReport,
     block_pairs,
     canonical_block,
     uniform_type,
@@ -131,16 +133,7 @@ def develop(ss: StarterSet) -> Design:
     return Design(ss.holes(), blocks, label_base=ss.modulus if ss.u else None)
 
 
-@dataclass
-class CensusReport:
-    ok: bool
-    errors: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def difference_census(ss: StarterSet) -> CensusReport:
+def difference_census(ss: StarterSet) -> VerificationReport:
     """Validate a step-1 starter set by difference counting alone.
 
     In every color the finite pairs of the starters must realize each
@@ -155,21 +148,16 @@ def difference_census(ss: StarterSet) -> CensusReport:
     g = ss.modulus
     same = ss.same_hole_differences()
     target = set(range(1, g)) - same
-    errors = []
-
-    def note(msg):
-        if len(errors) < MAX_ERRORS:
-            errors.append(msg)
-
+    errors = Diagnostics()
     label_seen = Counter()
     per_color = {c: Counter() for c in COLORS}
     for starter in ss.starters:
         if len(set(starter)) != 4:
-            note(f"starter {starter!r} repeats an entry")
+            errors.note(f"starter {starter!r} repeats an entry")
             continue
         labels_here = [p for p in starter if p >= g]
         if len(labels_here) > 1:
-            note(f"starter {starter!r} holds two long-hole points")
+            errors.note(f"starter {starter!r} holds two long-hole points")
         for lab in labels_here:
             label_seen[lab] += 1
         for (p, q), color in block_pairs(starter):
@@ -180,19 +168,18 @@ def difference_census(ss: StarterSet) -> CensusReport:
 
     for lab in range(g, g + ss.u):
         if label_seen[lab] != 1:
-            note(f"long-hole point {lab} appears in {label_seen[lab]} starters, wants 1")
+            errors.note(f"long-hole point {lab} appears in {label_seen[lab]} starters, wants 1")
 
     for color in COLORS:
         got = per_color[color]
         for d in sorted(target):
             c = got.get(d, 0)
             if c != 1:
-                note(f"color {color}: difference {d} realized {c} times, wants 1")
+                errors.note(f"color {color}: difference {d} realized {c} times, wants 1")
         for d in sorted(set(got) - target):
             kind = "zero" if d == 0 else "same-hole" if d in same else "alien"
-            note(f"color {color}: {kind} difference {d} realized {got[d]} times")
+            errors.note(f"color {color}: {kind} difference {d} realized {got[d]} times")
 
-    ok = not errors
-    if errors and len(errors) >= MAX_ERRORS:
+    if len(errors) >= MAX_ERRORS:
         errors.append("... further problems suppressed")
-    return CensusReport(ok=ok, errors=errors)
+    return VerificationReport(not errors, errors)

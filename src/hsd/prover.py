@@ -1,13 +1,14 @@
 """Existence engine: decide EXISTS / INFEASIBLE / UNKNOWN_HERE for a type.
 
 The resolver runs a fixed rule chain against a design type: trivial types,
-necessary conditions, the bundled catalog, a tiny exhaustive search, and
-the recursive constructions (weighting a transversal design, multiplying
-by an orthogonal square pair, filling holes).  EXISTS verdicts carry a
-recipe tree; `materialize` replays a recipe into an actual design and
-verifies it.  INFEASIBLE is only ever issued through the counting
-conditions on types 3^n u^1, so a NONE from the search fallback is
-reported as UNKNOWN_HERE with a note rather than upgraded.
+necessary conditions, the scale cap, the bundled catalog, a tiny
+exhaustive search, and the recursive constructions (weighting a
+transversal design, multiplying by an orthogonal square pair, filling
+holes).  EXISTS verdicts carry a recipe tree; `materialize` replays a
+recipe into an actual design and verifies it.  INFEASIBLE is only ever
+issued through the counting conditions on types 3^n u^1, so a NONE from
+the search fallback is reported as UNKNOWN_HERE with a note rather than
+upgraded.
 
 Verdicts for a whole rectangle of (n, u) cells come from `table`, which
 renders as an aligned text grid or CSV.  The CSV is independent of
@@ -31,7 +32,7 @@ from .core import (
     verify_design,
 )
 from .algebra import divisors, mols_capacity, td, td_constructible
-from .catalog import catalog_get, catalog_list
+from .catalog import catalog_for_type, catalog_get
 from .constructions import fill_holes_a, fill_holes_b, multiply, weight_inflate
 from . import search as search_mod
 from .search import search_direct
@@ -181,23 +182,6 @@ class Prover:
         self._memo = {}
         self._busy = set()
         self._designs = {}  # TypeSpec -> verified Design
-        self._by_type = None
-
-    # -- catalog index ------------------------------------------------
-
-    def _catalog(self, t: TypeSpec):
-        if self._by_type is None:
-            rank = {"verbatim": 0, "repaired": 1, "derived": 2}
-            index = {}
-            for e in catalog_list():
-                if e.kind == "gdd":
-                    continue
-                key = e.type
-                best = index.get(key)
-                if best is None or (rank[e.status], e.id) < (rank[best.status], best.id):
-                    index[key] = e
-            self._by_type = index
-        return self._by_type.get(t)
 
     # -- resolution ---------------------------------------------------
 
@@ -225,11 +209,8 @@ class Prover:
 
     def _resolve(self, t: TypeSpec) -> Outcome:
         notes = []
-        if t.points > self.max_points:
-            return Outcome(UNKNOWN_HERE, t, notes=(
-                f"beyond scale cap ({t.points} points > {self.max_points})",))
-        for rule in (self._r_trivial, self._r_feasible, self._r_catalog,
-                     self._r_search, self._r_tdw, self._r_mul,
+        for rule in (self._r_trivial, self._r_feasible, self._r_cap,
+                     self._r_catalog, self._r_search, self._r_tdw, self._r_mul,
                      self._r_fill_a, self._r_fill_b, self._r_9fam):
             hit = rule(t, notes)
             if isinstance(hit, Outcome):
@@ -255,8 +236,14 @@ class Prover:
             return Outcome(INFEASIBLE, t, report=rep)
         return None
 
+    def _r_cap(self, t, notes):
+        if t.points > self.max_points:
+            return Outcome(UNKNOWN_HERE, t, notes=(
+                f"beyond scale cap ({t.points} points > {self.max_points})",))
+        return None
+
     def _r_catalog(self, t, notes):
-        e = self._catalog(t)
+        e = catalog_for_type(t)
         if e is None:
             return None
         return Recipe("R-CAT", t, (("id", e.id), ("status", e.status)))

@@ -12,7 +12,8 @@ column a permutation of the points outside its hole, plus the identity),
 which gives an independent second route to verification.  It certifies
 on a flat P*P product table and walks the table cell by cell only to
 explain a failure; neither pass borrows from `core`'s verifier, so the
-two checkers stay two.
+two checkers stay two.  They share only the report type and its capped
+error list.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from hsd.algebra import is_latin_square
-from hsd.core import MAX_ERRORS, Design, canonical_block
+from hsd.core import Design, Diagnostics, VerificationReport, canonical_block
 
 
 class Quasigroup:
@@ -126,21 +127,21 @@ def design_to_frame(design: Design) -> Quasigroup:
     return Quasigroup(design.points, table)
 
 
-def check_frame(design: Design):
+def check_frame(design: Design) -> VerificationReport:
     """Table-side validity check, independent of verify_design.
 
     Reads the blocks only as a partial multiplication table: the block
     (a, b, c, d) defines a*b = c, b*a = d, c*d = a and d*c = b.  The design
     is a frame when every cell across two holes is defined once, row x
     and column x are permutations of the points outside x's hole, and
-    (x*y)*(y*x) = x for every defined cell.  Returns (ok, errors).
+    (x*y)*(y*x) = x for every defined cell.
 
     A valid design is certified on one flat P*P product table (see
     `_fills_frame_table`).  Any failure walks the table again by cells,
     which writes the diagnostics (at most `MAX_ERRORS`).
     """
     if _fills_frame_table(design):
-        return True, []
+        return VerificationReport(True, [])
     return _walk_frame_table(design)
 
 
@@ -192,21 +193,16 @@ def _fills_frame_table(design: Design) -> bool:
     return True
 
 
-def _walk_frame_table(design: Design):
+def _walk_frame_table(design: Design) -> VerificationReport:
     """The cell-by-cell frame check: same verdict as `check_frame`, plus
     the diagnostics it reports."""
     st = design.structure
-    errors = []
-
-    def note(msg):
-        if len(errors) < MAX_ERRORS:
-            errors.append(msg)
-
+    errors = Diagnostics()
     cells = Counter()
     table = {}
     for blk in design.blocks:
         if len(blk) != 4 or any(p not in st._hole_of for p in blk):
-            note(f"malformed block {blk!r}")
+            errors.note(f"malformed block {blk!r}")
             continue
         a, b, c, d = blk
         for x, y, z in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
@@ -214,7 +210,7 @@ def _walk_frame_table(design: Design):
             table[(x, y)] = z
     for (x, y), k in cells.items():
         if k > 1:
-            note(f"product {x!r}*{y!r} defined {k} times")
+            errors.note(f"product {x!r}*{y!r} defined {k} times")
 
     pts = st.points
     for x in pts:
@@ -223,18 +219,17 @@ def _walk_frame_table(design: Design):
         row = [table.get((x, y)) for y in outside]
         col = [table.get((y, x)) for y in outside]
         if set(row) != want:
-            note(f"row {x!r} is not a permutation of the points outside its hole")
+            errors.note(f"row {x!r} is not a permutation of the points outside its hole")
         if set(col) != want:
-            note(f"column {x!r} is not a permutation of the points outside its hole")
+            errors.note(f"column {x!r} is not a permutation of the points outside its hole")
     for (x, y), z in table.items():
         if st.same_hole(x, y):
-            note(f"product {x!r}*{y!r} crosses no hole boundary")
+            errors.note(f"product {x!r}*{y!r} crosses no hole boundary")
             continue
         w = table.get((y, x))
         if w is None or table.get((z, w)) != x:
-            note(f"identity fails at ({x!r}, {y!r})")
-    ok = not errors
-    return ok, errors
+            errors.note(f"identity fails at ({x!r}, {y!r})")
+    return VerificationReport(not errors, errors)
 
 
 def quasigroup_to_design(q: Quasigroup) -> Design:

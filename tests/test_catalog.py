@@ -6,6 +6,7 @@ import pytest
 
 from hsd.catalog import (
     CatalogEntry,
+    catalog_for_type,
     catalog_get,
     catalog_list,
     verify_entry,
@@ -53,11 +54,20 @@ def test_lookup_by_id_table_and_type():
     assert catalog_get("5^5 2^1").table == "L3.7"
     assert catalog_get("9^4 4^1").table == "C1"
     # a type held by both a design entry and the GDD resolves to the design
-    assert catalog_get("3^4").kind != "gdd"
+    assert catalog_get("3^4").id == "S/3^4"
+    assert catalog_get("GDD/3^4").kind == catalog_get("GDD").kind == "gdd"
     with pytest.raises(KeyError):
         catalog_get("A1")  # four entries share this table name
     with pytest.raises(KeyError):
         catalog_get("no-such-entry")
+
+
+def test_each_design_type_has_one_entry():
+    entries = [e for e in catalog_list() if e.kind != "gdd"]
+    assert len({e.type for e in entries}) == len(entries)
+    for e in entries:
+        assert catalog_for_type(e.type) is e
+    assert catalog_for_type(parse_type("3^100")) is None
 
 
 def test_list_filters():
@@ -80,13 +90,11 @@ def test_verify_entry_starter_kind():
     row = verify_entry(catalog_get("Ex2.2"))
     assert row.ok and not row.errors
     assert row.blocks == 150 == row.expected
-    assert row.orbit_census == {6: 3, 12: 11}
 
 
 def test_verify_entry_design_kind():
     row = verify_entry(catalog_get("S/1^8 3^1"))
     assert row.ok and row.kind == "design"
-    assert row.orbit_census == {}
 
 
 def test_verify_entry_gdd_kind():

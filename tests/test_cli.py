@@ -331,6 +331,15 @@ def test_multiply_command(tmp_path, capsys):
     assert len(d.blocks) == 243
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_multiply_rejects_an_order_below_one(tmp_path, capsys, m):
+    f = tmp_path / "base.design"
+    f.write_text(serialize_design(catalog_get("S/1^4").design()))
+    code, out, err = run(capsys, "multiply", str(f), m)
+    assert code == 3 and out == ""
+    assert err == f"error: order and count must be positive, got m = {m}, k = 2\n"
+
+
 def test_fill_command(tmp_path, capsys):
     outer = tmp_path / "outer.design"
     outer.write_text(catalog_get("C1/9^4 1^1").text())

@@ -1,14 +1,18 @@
 """Block algebra, type arithmetic, feasibility, and the design verifier."""
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hsd.algebra import GDD, verify_gdd
 from hsd.core import (
+    MAX_ERRORS,
     Design,
+    Diagnostics,
     HoleStructure,
     TypeSpec,
     block_forms,
@@ -21,11 +25,14 @@ from hsd.core import (
     relabel,
     uniform_type,
     verify_design,
+    VerificationReport,
     _flags_each_slot_once,
     _verify_by_counting,
 )
 from hsd.catalog import catalog_get
 from hsd.constructions import fill_holes_a, multiply
+from hsd.development import difference_census
+from hsd.quasigroup import _walk_frame_table, check_frame
 
 
 # --- blocks -----------------------------------------------------------------
@@ -302,6 +309,102 @@ def test_verify_flags_degenerate_block():
     assert not rep.ok
 
 
+# --- one report for every checker -------------------------------------------
+#
+# The diagnostics below were recorded before the checkers shared a report
+# type; the shared type must keep every message.
+
+def _broken_ex21():
+    """Ex2.1 (3^7 1^1) with one point of its first block moved to another
+    point of the same hole; its starter set with the first starter's first
+    two entries swapped; and GDD/3^4 with the last point of its first block
+    taken from its second."""
+    d = catalog_get("Ex2.1").design()
+    blocks = list(d.blocks)
+    assert blocks[0] == (0, 1, 5, 21)
+    blocks[0] = (7, 1, 5, 21)
+    ss = catalog_get("Ex2.1").load()
+    w, x, y, z = ss.starters[0]
+    starters = replace(ss, starters=((x, w, y, z),) + ss.starters[1:])
+    g = catalog_get("GDD/3^4").load()
+    gblocks = list(g.blocks)
+    gblocks[0] = gblocks[0][:3] + gblocks[1][3:]
+    assert gblocks[0] == (0, 3, 6, 10)
+    return Design(d.holes, blocks), starters, GDD(g.groups, gblocks)
+
+
+_DESIGN_ERRORS = [
+    "pair (1, 7) covered 2 times in color 1",
+    "pair (5, 7) covered 2 times in color 2",
+    "pair (7, 21) covered 2 times in color 3",
+    "pair (0, 1) missing in color 1",
+    "pair (0, 5) missing in color 2",
+    "pair (0, 21) missing in color 3",
+]
+_FRAME_ERRORS = [
+    "product 1*7 defined 2 times",
+    "product 7*1 defined 2 times",
+    "row 0 is not a permutation of the points outside its hole",
+    "column 0 is not a permutation of the points outside its hole",
+    "row 1 is not a permutation of the points outside its hole",
+    "column 1 is not a permutation of the points outside its hole",
+    "row 5 is not a permutation of the points outside its hole",
+    "row 7 is not a permutation of the points outside its hole",
+]
+_CENSUS_ERRORS = [
+    "color 2: difference 4 realized 2 times, wants 1",
+    "color 2: difference 5 realized 0 times, wants 1",
+    "color 2: difference 16 realized 0 times, wants 1",
+    "color 2: difference 17 realized 2 times, wants 1",
+    "color 3: difference 4 realized 0 times, wants 1",
+    "color 3: difference 5 realized 2 times, wants 1",
+    "color 3: difference 16 realized 2 times, wants 1",
+    "color 3: difference 17 realized 0 times, wants 1",
+    "... further problems suppressed",
+]
+_GDD_ERRORS = [
+    "pair {0, 9} in 0 blocks, wants 1",
+    "pair {0, 10} in 2 blocks, wants 1",
+    "pair {3, 9} in 0 blocks, wants 1",
+    "pair {3, 10} in 2 blocks, wants 1",
+    "pair {6, 9} in 0 blocks, wants 1",
+    "pair {6, 10} in 2 blocks, wants 1",
+]
+
+
+def test_every_checker_returns_one_falsy_report_on_a_failure():
+    design, starters, gdd = _broken_ex21()
+    for check, obj, want in (
+        (verify_design, design, _DESIGN_ERRORS),
+        (_verify_by_counting, design, _DESIGN_ERRORS),
+        (check_frame, design, _FRAME_ERRORS),
+        (_walk_frame_table, design, _FRAME_ERRORS),
+        (difference_census, starters, _CENSUS_ERRORS),
+        (verify_gdd, gdd, _GDD_ERRORS),
+    ):
+        rep = check(obj)
+        assert isinstance(rep, VerificationReport), check.__name__
+        assert not rep, check.__name__
+        ok, errors = rep
+        assert ok is False and rep[0] is False and rep.ok is False, check.__name__
+        assert errors == rep[1] == rep.errors == want, check.__name__
+
+
+def test_every_checker_returns_one_truthy_report_on_a_pass():
+    e = catalog_get("Ex2.1")
+    for rep in (verify_design(e.design()), check_frame(e.design()),
+                difference_census(e.load()), verify_gdd(catalog_get("GDD/3^4").load())):
+        assert isinstance(rep, VerificationReport) and rep
+        assert tuple(rep) == (True, [])
+
+
+def test_diagnostics_keep_the_first_messages():
+    errors = Diagnostics()
+    for i in range(MAX_ERRORS + 3):
+        errors.note(f"problem {i}")
+    assert errors == [f"problem {i}" for i in range(MAX_ERRORS)]
+
+
 def test_design_equality_ignores_block_form_and_order():
     d = catalog_get("S/1^4").design()
     shuffled = [block_forms(b)[i % 4] for i, b in enumerate(reversed(d.blocks))]
@@ -439,7 +542,7 @@ def test_verifiers_agree_on_parity_impossible_types():
             expected_block_count(d.type)
         _assert_verifiers_agree(d)
         rep = verify_design(d)
-        assert not rep.ok and rep.expected_blocks == -1
+        assert not rep.ok and "odd cross-pair count" in rep.errors[0]
 
 
 @given(

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every field its record types declare is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import hsd
 
 MODULES = sorted(Path(hsd.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +42,48 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom math import comb, gcd\n\ngcd(4, 6)\n") == [
         "comb (line 2)", "os (line 1)"]
     assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+def declared_fields(source: str) -> list:
+    """(class, field) for every annotated field of a dataclass or a
+    NamedTuple defined in the source."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+                isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def attributes_read(source: str) -> set:
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_declared_field_is_read():
+    """A field nothing reads is computed or stored for no one.  The match is
+    by name only: `x.type` anywhere in src/, tests/ or benchmarks/ counts
+    as a read of every field called `type`, so the check finds fields
+    whose name is read nowhere, not every unread field."""
+    read = set()
+    for folder in ("src", "tests", "benchmarks"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read |= attributes_read(path.read_text())
+    fields = [f for path in MODULES for f in declared_fields(path.read_text())]
+    assert ("VerificationReport", "errors") in fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
+
+
+def test_the_check_sees_an_unread_field():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "class B(NamedTuple):\n    z: int\n"
+        "class C:\n    w: int\n"
+        "print(A(1).x)\n"
+    )
+    assert declared_fields(source) == [("A", "x"), ("A", "y"), ("B", "z")]
+    assert attributes_read(source) == {"x"}

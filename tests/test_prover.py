@@ -10,6 +10,7 @@ import pytest
 import hsd.prover as prover_mod
 from hsd import search
 from hsd.algebra import td_constructible
+from hsd.catalog import catalog_list
 from hsd.core import (
     Design,
     TypeSpec,
@@ -211,6 +212,28 @@ def test_desk_scale_cap(prover):
     out = prover.resolve(parse_type("3^88 125^1"))
     assert out.verdict == UNKNOWN_HERE
     assert any("beyond scale cap" in n for n in out.notes)
+
+
+def test_cap_comes_after_trivial_types_and_feasibility():
+    out = Prover().resolve(parse_type("3^101 1^1"))
+    assert out.verdict == INFEASIBLE == Prover().prove(101, 1).verdict
+    out = Prover().resolve(parse_type("400^1"))
+    assert out.verdict == EXISTS and out.recipe.rule == "R-TRIV"
+
+
+def test_prove_and_resolve_agree_beyond_the_cap():
+    cap = Prover().max_points
+    cells = [(n, u) for n in range(4, 121) for u in range(46) if 3 * n + u > cap]
+    assert len(cells) == 1280
+    for n, u in cells:
+        assert Prover().prove(n, u).verdict == Prover().resolve(uniform_type(n, u)).verdict, (n, u)
+
+
+def test_resolve_takes_every_design_entry_from_the_catalog():
+    for e in catalog_list():
+        if e.kind != "gdd":
+            recipe = Prover().resolve(e.type).recipe
+            assert recipe.rule == "R-CAT" and dict(recipe.params)["id"] == e.id, e.id
 
 
 def test_large_scale_plan():
