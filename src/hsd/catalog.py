@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -156,19 +155,6 @@ class CatalogRow:
     errors: list
 
 
-@dataclass
-class CatalogReport:
-    rows: list
-    elapsed: float
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def failures(self) -> list:
-        return [r for r in self.rows if not r.ok]
-
-
 def verify_entry(e: CatalogEntry) -> CatalogRow:
     """Develop (if needed) and certify one entry from scratch."""
     if e.kind == "gdd":
@@ -196,7 +182,6 @@ def verify_entry(e: CatalogEntry) -> CatalogRow:
     )
 
 
-def catalog_verify_all() -> CatalogReport:
-    t0 = time.perf_counter()
-    rows = [verify_entry(e) for e in _entries()]
-    return CatalogReport(rows=rows, elapsed=time.perf_counter() - t0)
+def catalog_verify_all() -> list:
+    """One `CatalogRow` per entry, in catalog order."""
+    return [verify_entry(e) for e in _entries()]

@@ -305,11 +305,16 @@ class VerificationReport(NamedTuple):
 
 
 class Diagnostics(list):
-    """A checker's error list: `note` keeps the first `MAX_ERRORS` messages."""
+    """A checker's error list: `note` keeps the first `MAX_ERRORS` messages
+    and counts the rest in `dropped`."""
+
+    dropped = 0
 
     def note(self, msg: str) -> None:
         if len(self) < MAX_ERRORS:
             self.append(msg)
+        else:
+            self.dropped += 1
 
 
 def verify_design(design: Design) -> VerificationReport:

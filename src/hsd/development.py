@@ -23,7 +23,6 @@ from math import gcd
 from hsd.algebra import divisors
 from hsd.core import (
     COLORS,
-    MAX_ERRORS,
     Design,
     Diagnostics,
     TypeSpec,
@@ -180,6 +179,6 @@ def difference_census(ss: StarterSet) -> VerificationReport:
             kind = "zero" if d == 0 else "same-hole" if d in same else "alien"
             errors.note(f"color {color}: {kind} difference {d} realized {got[d]} times")
 
-    if len(errors) >= MAX_ERRORS:
+    if errors.dropped:
         errors.append("... further problems suppressed")
     return VerificationReport(not errors, errors)

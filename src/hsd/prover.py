@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import io
 import itertools
 import math
-import time
 
 from .core import (
     Design,
@@ -180,7 +179,6 @@ class Prover:
         self.max_points = LARGE_MAX_POINTS if large else DESK_MAX_POINTS
         self.search_nodes = search_nodes
         self._memo = {}
-        self._busy = set()
         self._designs = {}  # TypeSpec -> verified Design
 
     # -- resolution ---------------------------------------------------
@@ -195,17 +193,12 @@ class Prover:
         return self.resolve(t)
 
     def resolve(self, t: TypeSpec) -> Outcome:
-        if t in self._memo:
-            return self._memo[t]
-        if t in self._busy:
-            return Outcome(UNKNOWN_HERE, t, notes=("circular derivation cut off",))
-        self._busy.add(t)
-        try:
-            out = self._resolve(t)
-        finally:
-            self._busy.discard(t)
-        self._memo[t] = out
-        return out
+        """Memoized verdict for any type.  No rule re-enters the type it is
+        resolving: every ingredient has fewer points than t, except a fill
+        outer with v = 0, which has no 3^n u^1 reading for a fill rule."""
+        if t not in self._memo:
+            self._memo[t] = self._resolve(t)
+        return self._memo[t]
 
     def _resolve(self, t: TypeSpec) -> Outcome:
         notes = []
@@ -393,7 +386,9 @@ class Prover:
         if rule == "R-CAT":
             return catalog_get(p["id"]).design()
         if rule == "R-SEARCH":
-            res = search_direct(recipe.target, seed=p["seed"], node_limit=self.search_nodes)
+            # the recorded seed and node count find the same design again,
+            # whatever this prover's own search budget
+            res = search_direct(recipe.target, seed=p["seed"], node_limit=p["nodes"])
             if not res:
                 raise AssertionError(f"search replay lost {recipe.target}")
             return res.design
@@ -437,7 +432,6 @@ class ExistenceTable:
     n_max: int
     u_max: int
     cells: dict = field(default_factory=dict)  # (n, u) -> Outcome
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -487,7 +481,6 @@ def table(n_max: int, u_max: int, materialize: bool = False,
     behind every claim."""
     pv = prover if prover is not None else Prover()
     tab = ExistenceTable(n_max=n_max, u_max=u_max)
-    started = time.perf_counter()
     for n in range(4, n_max + 1):
         for u in range(0, u_max + 1):
             out = pv.prove(n, u)
@@ -496,7 +489,6 @@ def table(n_max: int, u_max: int, materialize: bool = False,
             tab.cells[(n, u)] = out
             if progress is not None:
                 progress(n, u, out)
-    tab.elapsed = time.perf_counter() - started
     return tab
 
 

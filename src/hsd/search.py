@@ -4,8 +4,8 @@
 items are (cross pair, color) slots, every slot must be covered exactly
 once.  It is exhaustive, so status "none" is a nonexistence certificate;
 "timeout" means the node budget ran out and says nothing.  Every search
-is bounded by its node count alone, never by the clock, so the same call
-gives the same status, node count and design on any machine.
+is bounded by its node count alone and nothing here reads the clock, so
+the same call returns an equal `SearchResult` on any machine.
 
 `search_starters` works over Z_g at step 1 and tracks signed difference
 classes per color instead of pairs, which cuts the state down by a factor
@@ -29,13 +29,12 @@ cheap answer first should ask those directly.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from typing import Optional
 
 from hsd.core import COLORS, Design, TypeSpec, block_pairs, pair
-from hsd.development import StarterSet, develop, orbit
+from hsd.development import StarterSet, orbit
 
 FOUND = "found"
 NONE = "none"
@@ -44,36 +43,31 @@ TIMEOUT = "timeout"
 
 @dataclass
 class SearchResult:
+    """A search's status and node count, with the design (`search_direct`,
+    `search_climb`) or the starter set (`search_starters`, `search_orbits`)
+    it found."""
+
     status: str
     design: Optional[Design] = None
     starter_set: Optional[StarterSet] = None
     nodes: int = 0
-    elapsed: float = 0.0
 
     def __bool__(self):
         return self.status == FOUND
 
 
 class Budget:
-    """Node count and optional node limit, shared by all searches.
-
-    The limit is the only way a search stops early; the clock is read
-    for `elapsed`, which callers report, and never decides anything.
-    """
+    """Node count and optional node limit, shared by all searches; the
+    limit is the only way a search stops early."""
 
     def __init__(self, node_limit=None):
         self.node_limit = node_limit
         self.nodes = 0
-        self.started = time.monotonic()
 
     def tick(self) -> bool:
         """Count a node; True means keep going."""
         self.nodes += 1
         return self.node_limit is None or self.nodes <= self.node_limit
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
 
 
 class ExactCover:
@@ -208,7 +202,7 @@ def search_direct(t: TypeSpec, seed: int = 0, node_limit=None) -> SearchResult:
     design = None
     if status == FOUND:
         design = Design(holes, [cand_blocks[ci] for ci in picked])
-    return SearchResult(status, design=design, nodes=budget.nodes, elapsed=budget.elapsed)
+    return SearchResult(status, design=design, nodes=budget.nodes)
 
 
 def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult:
@@ -322,9 +316,9 @@ def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult
         climb(2000)
 
     if missing:
-        return SearchResult(TIMEOUT, nodes=budget.nodes, elapsed=budget.elapsed)
+        return SearchResult(TIMEOUT, nodes=budget.nodes)
     design = Design(holes, [cand_blocks[ci] for ci in placed])
-    return SearchResult(FOUND, design=design, nodes=budget.nodes, elapsed=budget.elapsed)
+    return SearchResult(FOUND, design=design, nodes=budget.nodes)
 
 
 def search_orbits(
@@ -343,7 +337,8 @@ def search_orbits(
     point: the tree is tiny, and small types that grind the block-level
     searches often carry exactly this symmetry.  A "none" here therefore
     says nothing about existence at large.  Short orbits are enumerated
-    like any other candidate, so even-modulus types are fine.
+    like any other candidate, so even-modulus types are fine.  A find is
+    returned as its starter set, which `develop` turns into the design.
     """
     geometry = StarterSet(modulus=hole_size * n, hole_size=hole_size, step=step, u=u, starters=())
     g = geometry.modulus
@@ -365,14 +360,10 @@ def search_orbits(
     budget = Budget(node_limit)
     rng = random.Random(seed)
     status, picked = ExactCover(len(item_id), orbit_items).solve(rng, budget, "mrv")
-    design = None
     ss = None
     if status == FOUND:
         ss = replace(geometry, starters=tuple(sorted(starters[ci] for ci in picked)))
-        design = develop(ss)
-    return SearchResult(
-        status, design=design, starter_set=ss, nodes=budget.nodes, elapsed=budget.elapsed
-    )
+    return SearchResult(status, starter_set=ss, nodes=budget.nodes)
 
 
 def _class_rep(d: int, g: int) -> int:
@@ -466,4 +457,4 @@ def search_starters(
 
     status = descend(u, full, full, full)
     ss = replace(geometry, starters=tuple(reversed(chosen))) if status == FOUND else None
-    return SearchResult(status, starter_set=ss, nodes=budget.nodes, elapsed=budget.elapsed)
+    return SearchResult(status, starter_set=ss, nodes=budget.nodes)

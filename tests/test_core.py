@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import hsd.core as core_mod
 from hsd.algebra import GDD, verify_gdd
 from hsd.core import (
     MAX_ERRORS,
@@ -360,7 +361,6 @@ _CENSUS_ERRORS = [
     "color 3: difference 5 realized 2 times, wants 1",
     "color 3: difference 16 realized 2 times, wants 1",
     "color 3: difference 17 realized 0 times, wants 1",
-    "... further problems suppressed",
 ]
 _GDD_ERRORS = [
     "pair {0, 9} in 0 blocks, wants 1",
@@ -403,6 +403,45 @@ def test_diagnostics_keep_the_first_messages():
     for i in range(MAX_ERRORS + 3):
         errors.note(f"problem {i}")
     assert errors == [f"problem {i}" for i in range(MAX_ERRORS)]
+
+
+def test_diagnostics_count_what_they_drop():
+    errors = Diagnostics()
+    for i in range(MAX_ERRORS):
+        errors.note(f"problem {i}")
+    assert errors.dropped == 0
+    errors.note("one too many")
+    errors.note("two too many")
+    assert errors.dropped == 2 and len(errors) == MAX_ERRORS
+
+
+def _census_case(name):
+    """A broken starter set and the number of census problems it has."""
+    ss = catalog_get(name.split(":")[0]).load()
+    starters = list(ss.starters)
+    if name == "Ex2.1:one swap":
+        starters[0] = (1, 0, 5, 21)  # as in _broken_ex21
+        return replace(ss, starters=tuple(starters)), 8
+    if name == "Ex2.1:two swaps":
+        starters[0], starters[1] = (1, 0, 5, 21), (2, 0, 12, 1)
+        return replace(ss, starters=tuple(starters)), 16
+    assert starters[0] == (0, 1, 2, 33)
+    starters[0] = (0, 1, 33, 2)
+    return replace(ss, starters=tuple(starters)), 8
+
+
+@pytest.mark.parametrize("name", ["Ex2.1:one swap", "Ex2.1:two swaps", "A1/3^11 1^1"])
+def test_census_says_suppressed_only_when_a_problem_was_dropped(monkeypatch, name):
+    ss, problems = _census_case(name)
+    with monkeypatch.context() as m:
+        m.setattr(core_mod, "MAX_ERRORS", 100)
+        assert len(difference_census(ss).errors) == problems
+    errors = difference_census(ss).errors
+    suppressed = "... further problems suppressed"
+    if problems > MAX_ERRORS:
+        assert len(errors) == MAX_ERRORS + 1 and errors[-1] == suppressed
+    else:
+        assert len(errors) == problems and suppressed not in errors
 
 
 def test_design_equality_ignores_block_form_and_order():

@@ -87,3 +87,31 @@ def test_the_check_sees_an_unread_field():
     )
     assert declared_fields(source) == [("A", "x"), ("A", "y"), ("B", "z")]
     assert attributes_read(source) == {"x"}
+
+
+CLOCKS = {"time", "datetime"}
+
+
+def clock_imports(source: str) -> list:
+    """The standard clock modules the source imports, in any import form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found & CLOCKS)
+
+
+def test_only_the_cli_reads_the_clock():
+    """Searches, the catalog sweep and the table return plain values, so
+    equal inputs give equal results; the CLI times its own commands."""
+    readers = {path.name: clock_imports(path.read_text()) for path in MODULES}
+    assert {name: mods for name, mods in readers.items() if mods} == {"cli.py": ["time"]}
+
+
+def test_the_check_sees_a_clock_import():
+    assert clock_imports("import os, time as t\nfrom datetime import date\n") == [
+        "datetime", "time"]
+    assert clock_imports("from time import perf_counter\nimport timeit\n") == ["time"]
+    assert clock_imports("import os.path\nfrom .time import clock\n") == []

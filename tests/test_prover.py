@@ -8,7 +8,6 @@ import random
 import pytest
 
 import hsd.prover as prover_mod
-from hsd import search
 from hsd.algebra import td_constructible
 from hsd.catalog import catalog_list
 from hsd.core import (
@@ -25,6 +24,7 @@ from hsd.prover import (
     EXISTS,
     INFEASIBLE,
     UNKNOWN_HERE,
+    Outcome,
     Prover,
     prove_type,
     table,
@@ -254,10 +254,9 @@ def test_trivial_types(prover):
         assert verify_design(d).ok
 
 
-def test_default_prover_bounds_searches_by_nodes_only(monkeypatch):
-    # a clock that jumps 1000 s per reading must not cut the search short
-    clock = itertools.count(step=1000.0)
-    monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+def test_default_prover_bounds_searches_by_nodes_only():
+    # no module but the CLI reads the clock (tests/test_imports.py), so
+    # only the node budget can stop the search
     out = Prover(search_nodes=1000).resolve(parse_type("1^7 3^1"))
     assert out.verdict == UNKNOWN_HERE
     assert out.notes == ("search hit its budget (1001 nodes)",)
@@ -308,6 +307,37 @@ def test_resolve_calls_are_frozen(monkeypatch):
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert digest == "18abc51368f81bf47ad370c7f24af3f49e30a6d94a094f76d4816957112b64d0"
     assert len(tab.unknown_cells()) == 50
+
+
+def test_no_rule_reenters_a_type_it_is_resolving(monkeypatch):
+    # resolve keeps no guard against a type that needs itself; this is why
+    # it does not need one
+    stack, reentered = set(), []
+    resolve = Prover._resolve
+
+    def tracked(self, t):
+        if t in stack:
+            reentered.append(str(t))
+            return Outcome(UNKNOWN_HERE, t)  # cut the cycle so the plan ends
+        stack.add(t)
+        try:
+            return resolve(self, t)
+        finally:
+            stack.discard(t)
+
+    monkeypatch.setattr(Prover, "_resolve", tracked)
+    table(45, 45, prover=Prover(search_nodes=2_000))
+    assert reentered == []
+
+
+def test_a_recipe_materializes_in_any_prover():
+    # the replay runs on the recipe's own seed and node count, not on the
+    # search budget of the prover that materializes it
+    t = parse_type("1^5 2^1")
+    recipe = Prover().resolve(t).recipe
+    assert recipe.rule == "R-SEARCH" and dict(recipe.params)["nodes"] == 81
+    d = Prover(search_nodes=50).materialize(recipe)
+    assert d.type == t and verify_design(d).ok
 
 
 def test_search_seconds_takes_only_none():
