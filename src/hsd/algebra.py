@@ -198,11 +198,6 @@ def mols(m: int, k: int) -> list:
     return squares
 
 
-def mols_pair(m: int) -> tuple:
-    a, b = mols(m, 2)
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # GDDs and transversal designs
 

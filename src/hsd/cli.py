@@ -254,17 +254,17 @@ def cmd_convert(args) -> int:
     design = _load_design(args.file)
     ok, errors = check_frame(design)
     try:
-        q = design_to_frame(design)
+        table = design_to_frame(design)
     except ValueError:  # a cell defined twice or an unknown point, which check_frame reports
-        q = None
-    if q is not None:
-        elems = q.elements
+        table = None
+    if table is not None:
+        elems = design.points
         names = {e: point_label(e, design.label_base) for e in elems}
         width = max(map(len, names.values())) + 1
         cell = lambda s: f"{s:>{width}}"  # noqa: E731
         print(cell("*") + "".join(cell(names[e]) for e in elems))
         for x in elems:
-            row = [names[q.table[(x, y)]] if (x, y) in q.table else "." for y in elems]
+            row = [names[table[(x, y)]] if (x, y) in table else "." for y in elems]
             print(cell(names[x]) + "".join(cell(z) for z in row))
     print(f"frame check: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     for err in errors:
@@ -385,9 +385,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return OK
-    except (ValueError, KeyError, TypeError, FileNotFoundError,
-            NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, TypeError, OSError, NotImplementedError) as exc:
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return USAGE
 
 

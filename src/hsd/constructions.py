@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hsd.algebra import GDD, mols_pair
+from hsd.algebra import GDD, mols
 from hsd.core import Design, TypeSpec
 
 
@@ -22,7 +22,7 @@ def multiply(design: Design, m: int) -> Design:
     impossible and other orders 2 (mod 4) are not built here (see mols).
     The copies of the k-th point are m*k .. m*k + m - 1.
     """
-    a, b = ([[0]], [[0]]) if m == 1 else mols_pair(m)
+    a, b = ([[0]], [[0]]) if m == 1 else mols(m, 2)
     first = {p: m * k for k, p in enumerate(design.points)}
     holes = [[first[p] + i for p in hole for i in range(m)] for hole in design.holes]
     blocks = []

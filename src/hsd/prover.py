@@ -33,8 +33,7 @@ from .core import (
 from .algebra import divisors, mols_capacity, td, td_constructible
 from .catalog import catalog_for_type, catalog_get
 from .constructions import fill_holes_a, fill_holes_b, multiply, weight_inflate
-from . import search as search_mod
-from .search import search_direct
+from .search import NONE, search_direct
 
 EXISTS = "EXISTS"
 INFEASIBLE = "INFEASIBLE"
@@ -252,7 +251,7 @@ class Prover:
         res = search_direct(t, seed=0, node_limit=self.search_nodes)
         if res:
             return Recipe("R-SEARCH", t, (("seed", 0), ("nodes", res.nodes)))
-        if res.status == search_mod.NONE:
+        if res.status == NONE:
             notes.append(f"exhaustive search: no design of type {t} exists "
                          f"({res.nodes} nodes); verdict stays UNKNOWN_HERE by policy")
         else:

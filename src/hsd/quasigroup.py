@@ -3,7 +3,9 @@
 A Schroder quasigroup satisfies (x*y)*(y*x) = x.  An idempotent model of
 order v is the same thing as a design of type 1^v: the block (a, b, c, d)
 encodes a*b = c, b*a = d, c*d = a, d*c = b, and the identity makes the
-four equations consistent.
+four equations consistent.  A quasigroup or a frame is its product
+table, a plain dict {(x, y): x*y}, and its identity checks return the
+package's one report type, `VerificationReport`.
 
 Designs with bigger holes correspond to frames: partial tables where x*y
 is defined exactly when x and y sit in different holes.  `check_frame`
@@ -20,111 +22,64 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hsd.algebra import is_latin_square
 from hsd.core import Design, Diagnostics, VerificationReport, canonical_block
 
 
-class Quasigroup:
-    """Finite binary operation given by an explicit table."""
-
-    def __init__(self, elements, table):
-        self.elements = tuple(sorted(elements))
-        self.table = dict(table)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        for (x, y), z in self.table.items():
-            if x not in self._index or y not in self._index or z not in self._index:
-                raise ValueError(f"table entry {(x, y)} -> {z!r} uses unknown elements")
-
-    @staticmethod
-    def from_rows(rows, elements=None):
-        """Build from a square list of rows; elements default to 0..n-1."""
-        n = len(rows)
-        if elements is None:
-            elements = list(range(n))
-        table = {}
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("table is not square")
-            for j, z in enumerate(row):
-                table[(elements[i], elements[j])] = z
-        return Quasigroup(elements, table)
-
-    def __call__(self, x, y):
-        return self.table[(x, y)]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def is_total(self):
-        return len(self.table) == len(self.elements) ** 2
-
-    def is_latin(self):
-        """Every element once per row and once per column (total tables only)."""
-        if not self.is_total():
-            return False
-        idx = self._index
-        return is_latin_square([[idx[self.table[(x, y)]] for y in self.elements]
-                                for x in self.elements])
-
-    def is_idempotent(self):
-        return all(self.table.get((x, x)) == x for x in self.elements)
-
-    def transpose(self):
-        return Quasigroup(self.elements, {(y, x): z for (x, y), z in self.table.items()})
+def check_schroder(table: dict) -> VerificationReport:
+    """Does (x*y)*(y*x) = x hold for every product in the table?"""
+    errors = Diagnostics()
+    for x, y in sorted(table):
+        if table.get((table[(x, y)], table.get((y, x)))) != x:
+            errors.note(f"identity fails at ({x!r}, {y!r})")
+    return VerificationReport(not errors, errors)
 
 
-def check_schroder(q: Quasigroup):
-    """Does (x*y)*(y*x) = x hold everywhere?  Returns (ok, counterexample)."""
-    for x in q.elements:
-        for y in q.elements:
-            if q(q(x, y), q(y, x)) != x:
-                return False, (x, y)
-    return True, None
-
-
-def check_weisner_pair(l1: Quasigroup, l2: Quasigroup):
-    """Check the pairing condition linking two squares on the same elements.
+def check_weisner_pair(l1: dict, l2: dict) -> VerificationReport:
+    """Check the pairing condition linking two squares on the same cells.
 
     Whenever l1(x, y) = z and l2(x, y) = w, it must follow that
     l1(z, w) = x and l2(z, w) = y.  With l2 the transpose of l1 this is
     equivalent to l1 being Schroder.
     """
-    if l1.elements != l2.elements:
-        return False, None
-    for x in l1.elements:
-        for y in l1.elements:
-            z, w = l1(x, y), l2(x, y)
-            if l1(z, w) != x or l2(z, w) != y:
-                return False, (x, y)
-    return True, None
+    errors = Diagnostics()
+    for x, y in sorted(l1.keys() | l2.keys()):
+        zw = l1.get((x, y)), l2.get((x, y))
+        if l1.get(zw) != x or l2.get(zw) != y:
+            errors.note(f"identity fails at ({x!r}, {y!r})")
+    return VerificationReport(not errors, errors)
 
 
-def design_to_quasigroup(design: Design) -> Quasigroup:
+def design_to_quasigroup(design: Design) -> dict:
     """Idempotent Schroder quasigroup from a design with all holes size 1."""
     if any(len(h) != 1 for h in design.holes):
         raise ValueError(f"type {design.type} has holes larger than 1")
     # a block that repeats a point defines its diagonal cell twice, so
     # design_to_frame already refuses it
-    q = design_to_frame(design)
-    q.table.update({(p, p): p for p in q.elements})
-    if not q.is_total():
+    table = design_to_frame(design)
+    table.update({(p, p): p for p in design.points})
+    if len(table) != len(design.points) ** 2:
         raise ValueError("block list does not define a total operation")
-    return q
+    return table
 
 
-def design_to_frame(design: Design) -> Quasigroup:
+def design_to_frame(design: Design) -> dict:
     """Partial Schroder quasigroup of any design: products only across holes.
 
-    Raises on doubly-defined cells; completeness and the Latin/identity
-    conditions are check_frame's business.
+    Raises on a point outside the holes and on doubly-defined cells;
+    completeness and the Latin/identity conditions are check_frame's
+    business.
     """
+    points = set(design.points)
     table = {}
-    for a, b, c, d in design.blocks:
+    for blk in design.blocks:
+        if not points.issuperset(blk):
+            raise ValueError(f"block {blk!r} uses a point outside the holes")
+        a, b, c, d = blk
         for x, y, z in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
             if (x, y) in table:
                 raise ValueError(f"product {x!r}*{y!r} defined twice")
             table[(x, y)] = z
-    return Quasigroup(design.points, table)
+    return table
 
 
 def check_frame(design: Design) -> VerificationReport:
@@ -232,17 +187,13 @@ def _walk_frame_table(design: Design) -> VerificationReport:
     return VerificationReport(not errors, errors)
 
 
-def quasigroup_to_design(q: Quasigroup) -> Design:
+def quasigroup_to_design(table: dict) -> Design:
     """Inverse of design_to_quasigroup.  Requires an idempotent model."""
-    if not q.is_total():
+    elements = sorted({p for cell, z in table.items() for p in (*cell, z)})
+    if len(table) != len(elements) ** 2:
         raise ValueError("operation is partial")
-    if not q.is_idempotent():
+    if any(table[(x, x)] != x for x in elements):
         raise ValueError("only idempotent models correspond to size-1 holes")
-    blocks = set()
-    for x in q.elements:
-        for y in q.elements:
-            if x == y:
-                continue
-            blocks.add(canonical_block((x, y, q(x, y), q(y, x))))
-    holes = [[p] for p in q.elements]
-    return Design(holes, blocks)
+    blocks = {canonical_block((x, y, z, table[(y, x)]))
+              for (x, y), z in table.items() if x != y}
+    return Design([[p] for p in elements], blocks)

@@ -11,7 +11,6 @@ from hsd.algebra import (
     is_latin_square,
     mols,
     mols_capacity,
-    mols_pair,
     prime_factors,
     td,
     td_constructible,
@@ -75,7 +74,7 @@ def test_latin_square_predicate():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 11, 12])
 def test_mols_pairs(m):
-    a, b = mols_pair(m)
+    a, b = mols(m, 2)
     assert is_latin_square(a) and is_latin_square(b)
     assert check_orthogonal(a, b)
 
@@ -87,7 +86,7 @@ def test_mols_capacity_and_limits():
     assert mols_capacity(6) < 2          # no orthogonal pair of order 6
     for m in (2, 6):
         with pytest.raises(ValueError):
-            mols_pair(m)
+            mols(m, 2)
     with pytest.raises(ValueError):
         mols(5, 9)  # more squares than the construction can give
 
@@ -102,7 +101,7 @@ def test_mols_three_wide():
 
 
 def test_orthogonality_negative():
-    a, _ = mols_pair(4)
+    a, _ = mols(4, 2)
     assert not check_orthogonal(a, a)
 
 

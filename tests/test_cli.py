@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,13 @@ def test_catalog_get_unknown_key(capsys):
     code, _, err = run(capsys, "catalog", "get", "nope")
     assert code == 3
     assert "error" in err
+
+
+def test_catalog_get_unknown_key_prints_its_message_unquoted(capsys):
+    code, out, err = run(capsys, "catalog", "get", "nosuch")
+    assert code == 3
+    assert out == ""
+    assert err == "error: no catalog entry 'nosuch'\n"
 
 
 # --- prove ------------------------------------------------------------------
@@ -437,6 +445,16 @@ def test_convert_quasigroup_doubled_block_is_a_negative(tmp_path, capsys):
     ]
 
 
+def test_convert_quasigroup_refuses_an_unknown_point(tmp_path, capsys):
+    # no table can hold a point outside the holes: no table prints, and
+    # the frame check names the block
+    f = _ex21_damaged(tmp_path, "unknown.design", lambda b: [b[0][:3] + (99,)] + b[1:])
+    code, out, err = run(capsys, "convert", "quasigroup", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[:2] == ["frame check: FAIL", "  malformed block (0, 1, 5, 99)"]
+
+
 # --- error handling ------------------------------------------------------------
 
 def test_usage_error_exit_code():
@@ -455,6 +473,30 @@ def test_missing_file_reports_usage_error(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/file.design")
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"],
+    ["catalog", "get", "Ex2.1", "-o", "{dir}"],
+], ids=["read", "write"])
+def test_io_errors_exit_with_the_usage_code(tmp_path, capsys, argv):
+    # a directory where a file belongs: exit 3 and one line, no traceback
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# --- README transcripts -----------------------------------------------------------
+
+README_COMMANDS = ['feasible 8 2', 'feasible 9 1', 'prove "3^12 4^1" --materialize']
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_transcript_matches_the_cli(capsys, command):
+    # the README shows each command's prompt line followed by its exact stdout
+    _, out, _ = run(capsys, *shlex.split(command))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"$ hsd {command}\n{out}" in readme
 
 
 # --- console script and stdin plumbing -------------------------------------------

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hsd.quasigroup
+from hsd.algebra import is_latin_square
 from hsd.catalog import catalog_get, catalog_list
 from hsd.constructions import fill_holes_a, multiply
 from hsd.core import Design, verify_design
 from hsd.quasigroup import (
-    Quasigroup,
     _fills_frame_table,
     _walk_frame_table,
     check_frame,
@@ -25,12 +25,18 @@ from hsd.quasigroup import (
 )
 
 
+def _transpose(table):
+    return {(y, x): z for (x, y), z in table.items()}
+
+
 def test_design_to_quasigroup_on_unit_holes():
     d = catalog_get("S/1^8").design()
     q = design_to_quasigroup(d)
-    assert q.is_total() and q.is_latin() and q.is_idempotent()
-    ok, witness = check_schroder(q)
-    assert ok and witness is None
+    rows = [[q[(x, y)] for y in d.points] for x in d.points]
+    assert len(q) == len(d.points) ** 2 and is_latin_square(rows)
+    assert all(q[(x, x)] == x for x in d.points)
+    ok, errors = check_schroder(q)
+    assert ok and errors == []
 
 
 def test_design_to_quasigroup_refuses_bigger_holes():
@@ -38,7 +44,7 @@ def test_design_to_quasigroup_refuses_bigger_holes():
         design_to_quasigroup(catalog_get("A1/3^8 1^1").design())
 
 
-# sha256 of repr(sorted(q.table.items())), recorded before design_to_quasigroup
+# sha256 of repr(sorted(q.items())), recorded before design_to_quasigroup
 # was built on design_to_frame
 QUASIGROUP_TABLES = {
     "S/1^4": "d8b3a6ea4fa94728451ed8a01fbeff774ffce5e5470b795e53745102cacaec25",
@@ -50,8 +56,8 @@ QUASIGROUP_TABLES = {
 def test_design_to_quasigroup_tables_are_frozen(eid):
     d = catalog_get(eid).design()
     q = design_to_quasigroup(d)
-    assert q.elements == d.points
-    digest = hashlib.sha256(repr(sorted(q.table.items())).encode()).hexdigest()
+    assert sorted({x for x, _ in q}) == list(d.points)
+    digest = hashlib.sha256(repr(sorted(q.items())).encode()).hexdigest()
     assert digest == QUASIGROUP_TABLES[eid]
 
 
@@ -72,29 +78,50 @@ def test_quasigroup_design_round_trip():
     assert quasigroup_to_design(q) == d
 
 
+def test_quasigroup_to_design_refuses_partial_and_non_idempotent_tables():
+    q = design_to_quasigroup(catalog_get("S/1^4").design())
+    with pytest.raises(ValueError, match="operation is partial"):
+        quasigroup_to_design({cell: z for cell, z in q.items() if cell != (0, 1)})
+    with pytest.raises(ValueError, match="operation is partial"):  # 9 names no element
+        quasigroup_to_design(q | {(0, 1): 9})
+    with pytest.raises(ValueError, match="only idempotent models"):
+        quasigroup_to_design(q | {(0, 0): 1, (0, 2): 0})
+
+
+def test_design_to_frame_refuses_an_unknown_point():
+    d = catalog_get("Ex2.1").design()
+    bad = Design(d.holes, [d.blocks[0][:3] + (99,)] + list(d.blocks[1:]))
+    with pytest.raises(ValueError, match=r"^block \(0, 1, 5, 99\) uses a point outside the holes$"):
+        design_to_frame(bad)
+
+
 def test_weisner_pair_from_design():
     # row product and its transpose come from the same block list, so the
     # orthogonality coupling must hold between them
     q = design_to_quasigroup(catalog_get("S/1^8").design())
-    ok, witness = check_weisner_pair(q, q.transpose())
-    assert ok and witness is None
+    ok, errors = check_weisner_pair(q, _transpose(q))
+    assert ok and errors == []
+
+
+def test_weisner_pair_negative():
+    q = design_to_quasigroup(catalog_get("S/1^4").design())
+    ok, errors = check_weisner_pair(q, q)  # a square paired with itself
+    assert not ok and errors[0] == "identity fails at (0, 1)"
 
 
 def test_schroder_negative():
     q = design_to_quasigroup(catalog_get("S/1^4").design())
-    rows = [[q(x, y) for y in q.elements] for x in q.elements]
     # swap two off-diagonal entries in one row
-    e = list(q.elements)
-    rows[0][1], rows[0][2] = rows[0][2], rows[0][1]
-    broken = Quasigroup.from_rows(rows, e)
-    ok, _ = check_schroder(broken)
-    assert not ok
+    broken = dict(q)
+    broken[(0, 1)], broken[(0, 2)] = q[(0, 2)], q[(0, 1)]
+    ok, errors = check_schroder(broken)
+    assert not ok and errors[0] == "identity fails at (0, 1)"
 
 
 def test_frame_of_holey_design_is_partial():
     d = catalog_get("A1/3^8 1^1").design()
     q = design_to_frame(d)
-    assert not q.is_total()
+    assert len(q) < len(d.points) ** 2
     ok, errors = check_frame(d)
     assert ok and not errors
 
@@ -145,20 +172,13 @@ def test_mutations_flagged_by_both_checkers():
         assert not check_frame(bad)[0], f"mutant {k} slipped past the frame check"
 
 
-def test_quasigroup_from_rows_validation():
-    q = Quasigroup.from_rows([[0, 1], [1, 0]])
-    assert q.is_latin() and q.is_total()
-    assert not Quasigroup.from_rows([[0, 0], [1, 1]]).is_latin()
-    with pytest.raises(ValueError):
-        Quasigroup.from_rows([[0, 1], [1]])
-
-
 def test_transpose_involution():
-    q = design_to_quasigroup(catalog_get("S/1^8").design())
-    t = q.transpose().transpose()
-    for x in q.elements:
-        for y in q.elements:
-            assert t(x, y) == q(x, y)
+    d = catalog_get("S/1^8").design()
+    q = design_to_quasigroup(d)
+    t = _transpose(_transpose(q))
+    for x in d.points:
+        for y in d.points:
+            assert t[(x, y)] == q[(x, y)]
 
 
 # --- product table against the cell walk ---------------------------------------
