@@ -5,7 +5,8 @@ irreducible polynomials, squares as plain row lists, and a MacNeish-style
 product for composite orders.  Orders 2 and 6 admit no orthogonal pair at
 all; other orders of the form 4t+2 admit one in the literature but not
 through the product, and asking for those raises NotImplementedError so
-the caller can tell "cannot exist" from "not built here".
+the caller can tell "cannot exist" from "not built here".  The squares
+are built here and checked in the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -119,23 +120,6 @@ def gf(q: int) -> GF:
 
 # ---------------------------------------------------------------------------
 # Latin squares
-
-
-def is_latin_square(rows) -> bool:
-    n = len(rows)
-    want = set(range(n))
-    for i in range(n):
-        if set(rows[i]) != want:
-            return False
-        if {rows[j][i] for j in range(n)} != want:
-            return False
-    return True
-
-
-def check_orthogonal(a, b) -> bool:
-    n = len(a)
-    seen = {(a[i][j], b[i][j]) for i in range(n) for j in range(n)}
-    return len(seen) == n * n
 
 
 def _mols_prime_power(q: int, k: int) -> list:

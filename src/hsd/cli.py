@@ -26,6 +26,7 @@ from .core import (
     Design,
     expected_block_count,
     is_feasible,
+    paper_region,
     parse_type,
     uniform_type,
     verify_design,
@@ -190,7 +191,9 @@ def cmd_table(args) -> int:
     else:
         _write(args.output, tab.to_text())
     undecided = tab.unknown_cells()
-    note = f", undecided: {undecided}" if undecided else ""
+    inside = sum(paper_region(n, u) for n, u in undecided)
+    note = (f", undecided: {undecided} ({inside} inside the paper's theorem region)"
+            if undecided else "")
     print(f"{len(tab.cells)} cells in {elapsed:.1f}s"
           f"{' (materialized + verified)' if args.materialize else ''}{note}",
           file=sys.stderr)

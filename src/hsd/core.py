@@ -211,6 +211,17 @@ def is_feasible(n: int, u: int) -> FeasibilityReport:
     return FeasibilityReport(n=n, u=u, feasible=feasible, checks=checks)
 
 
+def paper_region(n: int, u: int) -> bool:
+    """Is 3^n u^1 a cell where the paper's theorem says a design exists?
+
+    That is every cell with n >= 4 and n(n + 2u - 1) = 0 (mod 4) that also
+    has u <= 15 and 3n >= 3 + 2u, or u <= n and n not 29 or 43 (the
+    paper's possible exceptions).
+    """
+    return (n >= 4 and u >= 0 and n * (n + 2 * u - 1) % 4 == 0
+            and ((u <= 15 and 3 * n >= 3 + 2 * u) or (u <= n and n not in (29, 43))))
+
+
 # ---------------------------------------------------------------------------
 # hole structures and designs
 

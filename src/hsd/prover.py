@@ -305,7 +305,7 @@ class Prover:
         if nu is None:
             return None
         n, u = nu
-        shapes = [(s, m, n - s * m) for s in range(3, 13)
+        shapes = [(s, m, n - s * m) for s in range(3, n // 4 + 1)
                   for m in range(4, n // s + 1) if 1 <= n - s * m < s]
         return self._fill(t, notes, u, shapes, "R-FILL-B", "two-size hole filling")
 

@@ -1,65 +1,26 @@
-"""Schroder quasigroups and their correspondence with designs.
+"""The frame view of a design: a partial Schroder quasigroup.
 
-A Schroder quasigroup satisfies (x*y)*(y*x) = x.  An idempotent model of
-order v is the same thing as a design of type 1^v: the block (a, b, c, d)
-encodes a*b = c, b*a = d, c*d = a, d*c = b, and the identity makes the
-four equations consistent.  A quasigroup or a frame is its product
-table, a plain dict {(x, y): x*y}, and its identity checks return the
-package's one report type, `VerificationReport`.
+A design corresponds to a frame idempotent Schroder quasigroup: a
+partial product table, here a plain dict {(x, y): x*y}, where x*y is
+defined exactly when x and y sit in different holes, and where
+(x*y)*(y*x) = x.  The block (a, b, c, d) encodes a*b = c, b*a = d,
+c*d = a and d*c = b.  `design_to_frame` builds that table, and
+`hsd convert quasigroup` prints it.
 
-Designs with bigger holes correspond to frames: partial tables where x*y
-is defined exactly when x and y sit in different holes.  `check_frame`
-re-derives a design's validity purely on the table side (each row and
-column a permutation of the points outside its hole, plus the identity),
-which gives an independent second route to verification.  It certifies
-on a flat P*P product table and walks the table cell by cell only to
-explain a failure; neither pass borrows from `core`'s verifier, so the
-two checkers stay two.  They share only the report type and its capped
-error list.
+`check_frame` re-derives a design's validity purely on the table side
+(each row and column a permutation of the points outside its hole, plus
+the identity), which gives an independent second route to verification.
+It certifies on a flat P*P product table and walks the table cell by
+cell only to explain a failure; neither pass borrows from `core`'s
+verifier, so the two checkers stay two.  They share only the report type
+and its capped error list.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from hsd.core import Design, Diagnostics, VerificationReport, canonical_block
-
-
-def check_schroder(table: dict) -> VerificationReport:
-    """Does (x*y)*(y*x) = x hold for every product in the table?"""
-    errors = Diagnostics()
-    for x, y in sorted(table):
-        if table.get((table[(x, y)], table.get((y, x)))) != x:
-            errors.note(f"identity fails at ({x!r}, {y!r})")
-    return VerificationReport(not errors, errors)
-
-
-def check_weisner_pair(l1: dict, l2: dict) -> VerificationReport:
-    """Check the pairing condition linking two squares on the same cells.
-
-    Whenever l1(x, y) = z and l2(x, y) = w, it must follow that
-    l1(z, w) = x and l2(z, w) = y.  With l2 the transpose of l1 this is
-    equivalent to l1 being Schroder.
-    """
-    errors = Diagnostics()
-    for x, y in sorted(l1.keys() | l2.keys()):
-        zw = l1.get((x, y)), l2.get((x, y))
-        if l1.get(zw) != x or l2.get(zw) != y:
-            errors.note(f"identity fails at ({x!r}, {y!r})")
-    return VerificationReport(not errors, errors)
-
-
-def design_to_quasigroup(design: Design) -> dict:
-    """Idempotent Schroder quasigroup from a design with all holes size 1."""
-    if any(len(h) != 1 for h in design.holes):
-        raise ValueError(f"type {design.type} has holes larger than 1")
-    # a block that repeats a point defines its diagonal cell twice, so
-    # design_to_frame already refuses it
-    table = design_to_frame(design)
-    table.update({(p, p): p for p in design.points})
-    if len(table) != len(design.points) ** 2:
-        raise ValueError("block list does not define a total operation")
-    return table
+from hsd.core import Design, Diagnostics, VerificationReport
 
 
 def design_to_frame(design: Design) -> dict:
@@ -185,15 +146,3 @@ def _walk_frame_table(design: Design) -> VerificationReport:
         if w is None or table.get((z, w)) != x:
             errors.note(f"identity fails at ({x!r}, {y!r})")
     return VerificationReport(not errors, errors)
-
-
-def quasigroup_to_design(table: dict) -> Design:
-    """Inverse of design_to_quasigroup.  Requires an idempotent model."""
-    elements = sorted({p for cell, z in table.items() for p in (*cell, z)})
-    if len(table) != len(elements) ** 2:
-        raise ValueError("operation is partial")
-    if any(table[(x, x)] != x for x in elements):
-        raise ValueError("only idempotent models correspond to size-1 holes")
-    blocks = {canonical_block((x, y, z, table[(y, x)]))
-              for (x, y), z in table.items() if x != y}
-    return Design([[p] for p in elements], blocks)

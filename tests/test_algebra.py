@@ -5,10 +5,8 @@ import pytest
 from hsd import algebra
 from hsd.algebra import (
     GDD,
-    check_orthogonal,
     divisors,
     gf,
-    is_latin_square,
     mols,
     mols_capacity,
     prime_factors,
@@ -17,6 +15,7 @@ from hsd.algebra import (
     verify_gdd,
 )
 from hsd.core import parse_type
+from oracles import check_orthogonal, is_latin_square
 
 
 def test_prime_factors():

@@ -220,6 +220,13 @@ def test_table_text(capsys):
     assert "undecided" not in err
 
 
+def test_table_counts_the_undecided_cells_inside_the_paper_region(capsys):
+    code, _, err = run(capsys, "table", "--nmax", "16", "--umax", "18")
+    assert code == 2
+    assert err.rstrip().endswith(
+        "undecided: [(13, 18), (16, 3)] (1 inside the paper's theorem region)")
+
+
 def test_table_csv_deterministic(capsys):
     code1, out1, _ = run(capsys, "table", "--nmax", "8", "--umax", "8", "--csv")
     code2, out2, _ = run(capsys, "table", "--nmax", "8", "--umax", "8", "--csv")

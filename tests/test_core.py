@@ -22,6 +22,7 @@ from hsd.core import (
     expected_block_count,
     is_feasible,
     pair,
+    paper_region,
     parse_type,
     relabel,
     uniform_type,
@@ -241,6 +242,19 @@ def test_feasibility_spot_cells():
     assert not is_feasible(7, 0).feasible   # needs odd u here
     assert not is_feasible(3, 1).feasible   # too few short holes
     assert not is_feasible(4, 5).feasible   # long hole too big
+
+
+def test_paper_region_lies_inside_feasibility():
+    grid = [(n, u) for n in range(60) for u in range(-1, 60)]
+    region = {cell for cell in grid if paper_region(*cell)}
+    feasible = {cell for cell in grid if is_feasible(*cell).feasible}
+    assert region <= feasible
+    assert paper_region(8, 2) and paper_region(47, 15) and paper_region(45, 30)
+    assert is_feasible(20, 22).feasible and not paper_region(20, 22)  # u > n, u > 15
+    # with u <= n the theorem leaves out only its possible exceptions, the
+    # 21 feasible cells at n = 29 and 43 past u = 15
+    assert sorted((n, u) for n, u in feasible - region if u <= n) == (
+        [(29, u) for u in range(16, 29, 2)] + [(43, u) for u in range(17, 44, 2)])
 
 
 def test_feasibility_failure_names():

@@ -115,3 +115,41 @@ def test_the_check_sees_a_clock_import():
         "datetime", "time"]
     assert clock_imports("from time import perf_counter\nimport timeit\n") == ["time"]
     assert clock_imports("import os.path\nfrom .time import clock\n") == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreferenced_definitions(modules: dict, callers: list, exported=()) -> list:
+    """`module.name` for each module-level function or class of `modules`
+    ({module name: source}) that no `ast` name or attribute refers to
+    outside its own definition, in `modules` or in the `callers` sources,
+    and that `exported` does not list.  The match is by name only, as in
+    `test_every_declared_field_is_read`."""
+    defined, read = [], set()
+    for module, source in [*modules.items(), *((None, s) for s in callers)]:
+        for stmt in ast.parse(source).body:
+            own = stmt.name if module is not None and isinstance(stmt, DEFINITIONS) else None
+            if own is not None:
+                defined.append((module, own))
+            read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read and name not in exported)
+
+
+def test_every_definition_has_a_caller():
+    """Code that only tests run belongs with the tests (tests/oracles.py);
+    the package keeps what a CLI verb, a rule, the benchmark or the public
+    API reaches."""
+    modules = {path.stem: path.read_text() for path in MODULES}
+    callers = [path.read_text() for path in (ROOT / "benchmarks").rglob("*.py")]
+    assert unreferenced_definitions(modules, callers, hsd.__all__) == []
+
+
+def test_the_check_sees_a_definition_without_a_caller():
+    modules = {"a": "def f():\n    return f()\n\ndef g():\n    return h\n\n"
+                    "def h():\n    pass\n\nclass C:\n    pass\n"}
+    assert unreferenced_definitions(modules, ["import a\na.C()\n"]) == ["a.f", "a.g"]
+    assert unreferenced_definitions(modules, ["import a\na.C()\n"], ["f"]) == ["a.g"]
+    assert unreferenced_definitions(modules, []) == ["a.C", "a.f", "a.g"]

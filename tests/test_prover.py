@@ -15,6 +15,7 @@ from hsd.core import (
     TypeSpec,
     expected_block_count,
     is_feasible,
+    paper_region,
     parse_type,
     uniform_type,
     verify_design,
@@ -29,6 +30,7 @@ from hsd.prover import (
     prove_type,
     table,
 )
+from hsd.quasigroup import check_frame
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,17 @@ def test_prove_via_filling(prover):
     assert len(d.blocks) == 369
     assert d.type == parse_type("3^12 4^1")
     assert verify_design(d).ok
+
+
+def test_fill_b_sizes_its_shapes_by_the_type():
+    # the outer 39^4 3^1 12^1 has s = 13; shapes stopped at s = 12 before
+    pv = Prover()
+    out = pv.prove(53, 12)
+    assert out.verdict == EXISTS and out.recipe.rule == "R-FILL-B"
+    assert dict(out.recipe.params) == {"s": 13, "m": 4, "t": 1, "v": 0, "w": 12}
+    d = pv.materialize(out.recipe)
+    assert len(d.blocks) == 7155 and d.type == parse_type("3^53 12^1")
+    assert verify_design(d).ok and check_frame(d).ok
 
 
 def test_prove_via_catalog(prover):
@@ -307,6 +320,24 @@ def test_resolve_calls_are_frozen(monkeypatch):
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert digest == "18abc51368f81bf47ad370c7f24af3f49e30a6d94a094f76d4816957112b64d0"
     assert len(tab.unknown_cells()) == 50
+
+
+# The undecided cells of table(45, 45) inside the paper's theorem region,
+# recorded when `paper_region` was added (the same 29 at 2,000 and at
+# 50,000 search nodes).  A change that settles one of them shrinks this
+# list; a change that unsettles a cell fails.
+OPEN_IN_REGION_45 = [
+    (16, 3), (17, 0), (17, 6), (17, 12), (19, 1), (19, 9), (19, 15), (23, 1),
+    (23, 9), (23, 15), (23, 21), (24, 1), (24, 23), (27, 1), (27, 3), (27, 5),
+    (27, 7), (28, 0), (28, 2), (29, 6), (29, 12), (31, 1), (43, 1), (43, 5),
+    (43, 7), (43, 9), (43, 11), (43, 13), (43, 15),
+]
+
+
+def test_undecided_cells_in_the_paper_region_only_shrink():
+    tab = table(45, 45, prover=Prover(search_nodes=2_000))
+    inside = [cell for cell in tab.unknown_cells() if paper_region(*cell)]
+    assert set(inside) <= set(OPEN_IN_REGION_45)
 
 
 def test_no_rule_reenters_a_type_it_is_resolving(monkeypatch):

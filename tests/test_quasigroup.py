@@ -9,18 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hsd.quasigroup
-from hsd.algebra import is_latin_square
 from hsd.catalog import catalog_get, catalog_list
 from hsd.constructions import fill_holes_a, multiply
 from hsd.core import Design, verify_design
-from hsd.quasigroup import (
-    _fills_frame_table,
-    _walk_frame_table,
-    check_frame,
+from hsd.quasigroup import _fills_frame_table, _walk_frame_table, check_frame, design_to_frame
+from oracles import (
     check_schroder,
     check_weisner_pair,
-    design_to_frame,
     design_to_quasigroup,
+    is_latin_square,
     quasigroup_to_design,
 )
 
@@ -289,3 +286,42 @@ def test_frame_check_stays_independent_of_the_design_verifier():
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert not used & forbidden
+
+
+# --- the frame check against the total-quasigroup oracles ------------------------
+#
+# On unit holes a design is a frame exactly when its total table, diagonal
+# included, is an idempotent Schroder quasigroup: a Latin square that
+# satisfies (x*y)*(y*x) = x.  The total side runs only the oracles in
+# tests/oracles.py, so it shares no code with check_frame's two passes.
+
+def _is_schroder_quasigroup(d):
+    """The total side's verdict; a table the conversion refuses fails."""
+    try:
+        q = design_to_quasigroup(d)
+    except ValueError:
+        return False
+    rows = [[q[(x, y)] for y in d.points] for x in d.points]
+    return is_latin_square(rows) and check_schroder(q).ok
+
+
+def test_frame_check_agrees_with_the_total_quasigroup_on_unit_holes():
+    rng = random.Random(20261020)
+    for key in ("S/1^4", "S/1^8", "S/1^12"):
+        d = catalog_get(key).design()
+        assert check_frame(d).ok and _is_schroder_quasigroup(d), key
+        for _ in range(5):
+            for kind, blocks in _damaged(d, rng).items():
+                bad = Design(d.holes, blocks)
+                verdicts = check_frame(bad).ok, _is_schroder_quasigroup(bad)
+                assert verdicts == (False, False), (key, kind)
+
+
+def test_the_identity_alone_misses_a_swapped_block():
+    # (a, b, c, d) -> (b, a, c, d) keeps (x*y)*(y*x) = x on all four cells it
+    # touches, but row a then holds d twice: only the Latin check sees it
+    d = catalog_get("S/1^8").design()
+    bad = Design(d.holes, _damage(d, "swap_first_two", random.Random(1)))
+    q = design_to_quasigroup(bad)
+    assert check_schroder(q).ok
+    assert not _is_schroder_quasigroup(bad) and not check_frame(bad).ok
