@@ -1,35 +1,23 @@
 """Small finite fields, orthogonal Latin squares, transversal designs, GDDs.
 
-Everything here is desk scale: fields up to order 81 with hard-coded
-irreducible polynomials, squares as plain row lists, and a MacNeish-style
-product for composite orders.  Orders 2 and 6 admit no orthogonal pair at
-all; other orders of the form 4t+2 admit one in the literature but not
-through the product, and asking for those raises NotImplementedError so
-the caller can tell "cannot exist" from "not built here".  The squares
-are built here and checked in the tests (`tests/oracles.py`).
+Everything here is desk scale: a field is its addition and multiplication
+tables, built over the first irreducible modulus in a fixed order, squares
+are plain row lists, and composite orders take a MacNeish-style product.
+Orders 2 and 6 admit no orthogonal pair at all; other orders of the form
+4t+2 admit one in the literature but not through the product, and asking
+for those raises NotImplementedError so the caller can tell "cannot
+exist" from "not built here".  The squares are built here and checked in
+the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from hsd.core import Diagnostics, TypeSpec, VerificationReport
-
-# irreducible over GF(p), coefficients low degree first
-_IRREDUCIBLE = {
-    4: (1, 1, 1),          # x^2 + x + 1
-    8: (1, 1, 0, 1),       # x^3 + x + 1
-    9: (1, 0, 1),          # x^2 + 1
-    16: (1, 1, 0, 0, 1),   # x^4 + x + 1
-    25: (2, 0, 1),         # x^2 + 2
-    27: (1, 2, 0, 1),      # x^3 + 2x + 1
-    32: (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
-    49: (1, 0, 1),         # x^2 + 1
-    64: (1, 1, 0, 0, 0, 0, 1),  # x^6 + x + 1
-    81: (2, 1, 0, 0, 1),   # x^4 + x + 2
-}
 
 
 def prime_factors(m: int) -> Counter:
@@ -51,71 +39,45 @@ def divisors(n: int) -> list:
     return small + [n // k for k in reversed(small) if k * k != n]
 
 
-class GF:
-    """GF(q) with full add/mul tables; elements are 0..q-1 in base-p digits."""
-
-    def __init__(self, q: int):
-        fac = prime_factors(q)
-        if q < 2 or len(fac) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        (self.p, self.k), = fac.items()
-        self.q = q
-        if self.k == 1:
-            self.add_table = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self.mul_table = [[(a * b) % q for b in range(q)] for a in range(q)]
-        else:
-            if q not in _IRREDUCIBLE:
-                raise ValueError(f"no modulus polynomial on file for GF({q})")
-            self._mod = _IRREDUCIBLE[q]
-            self.add_table = [
-                [self._enc(tuple((x + y) % self.p for x, y in zip(self._dec(a), self._dec(b))))
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            self.mul_table = [[self._polymul(a, b) for b in range(q)] for a in range(q)]
-        for a in range(1, q):
-            if 1 not in self.mul_table[a]:
-                raise ValueError(f"{a} has no inverse; modulus for GF({q}) is reducible")
-
-    def _dec(self, a: int) -> tuple:
-        digits = []
-        for _ in range(self.k):
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
-
-    def _enc(self, digits) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
-
-    def _polymul(self, a: int, b: int) -> int:
-        da, db, p = self._dec(a), self._dec(b), self.p
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the modulus polynomial (monic of degree k)
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(self._mod[:-1]):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * m) % p
-        return self._enc(prod[: self.k])
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
-
 @lru_cache(maxsize=None)
-def gf(q: int) -> GF:
-    return GF(q)
+def gf(q: int) -> tuple:
+    """The addition and multiplication tables of GF(q), as tuples of rows.
+
+    Elements are 0..q-1 read as base-p digits, digit i the coefficient of
+    x^i, so 0 and 1 are the field's zero and one.  For q = p^k the modulus
+    is the first monic x^k + c_{k-1}x^{k-1} + ... + c_0, with
+    (c_{k-1}, ..., c_0) tried in lexicographic order, modulo which every
+    nonzero element has an inverse.
+    """
+    fac = prime_factors(q)
+    if q < 2 or len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (p, k), = fac.items()
+    top = q // p  # place value of the x^(k-1) digit
+    add = []
+    for a in range(q):  # the low digit mod p, the higher digits from row a // p
+        high = add[a // p] if a >= p else range(q)
+        add.append([(a + b) % p + p * high[b // p] for b in range(q)])
+    for coeffs in product(range(p), repeat=k):
+        minus_low = 0  # x^k = -(c_{k-1}x^{k-1} + ... + c_0)
+        for c in coeffs:
+            minus_low = minus_low * p + (-c) % p
+        carry = [0]  # carry[t] = t*x^k, for t the digit that x*a shifts out
+        for _ in range(1, p):
+            carry.append(add[carry[-1]][minus_low])
+        times_x = [add[a % top * p][carry[a // top]] for a in range(q)]
+        mul = []
+        for a in range(q):  # a*b = x*(a*(b // p)) + a*(b % p)
+            row = [0] * q
+            for b in range(1, p):
+                row[b] = add[row[b - 1]][a]
+            for b in range(p, q):
+                row[b] = add[times_x[row[b // p]]][row[b % p]]
+            if a and 1 not in row:
+                break  # a has no inverse: the modulus is reducible
+            mul.append(row)
+        else:
+            return tuple(map(tuple, add)), tuple(map(tuple, mul))
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +85,8 @@ def gf(q: int) -> GF:
 
 
 def _mols_prime_power(q: int, k: int) -> list:
-    f = gf(q)
-    squares = []
-    for a in range(1, min(k + 1, q)):
-        squares.append([[f.add(f.mul(a, x), y) for y in range(q)] for x in range(q)])
-    return squares
+    add, mul = gf(q)
+    return [[list(add[mul[a][x]]) for x in range(q)] for a in range(1, min(k + 1, q))]
 
 
 def _mols_product(sq1, sq2, n1, n2) -> list:

@@ -8,9 +8,11 @@ Three line-oriented formats, each opened by a magic line:
 
 Lines are `key: tokens`; `#` starts a comment; blank lines are skipped.
 Unknown keys are rejected rather than ignored, so a typo in a data file
-fails loudly.  Finite points are integers; long-hole points are labels
-"x1", "x2", ... (the forms "x_3", "x_{3}" and "x{3}" are accepted on
-input and normalized on output).  GDD points are integers only.
+fails loudly; so do a second line for a key such as `step:` that a file
+states once and a bad integer, each naming its line.  Finite points are
+integers; long-hole points are labels "x1", "x2", ... (the forms "x_3",
+"x_{3}" and "x{3}" are accepted on input and normalized on output).  GDD
+points are integers only.
 
 This module is the only place where labels meet the integer points used
 everywhere else: a starter's label xk is the point g+k-1 (g the modulus),
@@ -65,31 +67,66 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _header_and_items(text: str, magic: str, allowed: set):
-    """Common scan: check the magic line, split `key: value` rows."""
+# per format: magic line, keys that may repeat, keys that may appear once
+_FORMATS = {
+    "design": (DESIGN_MAGIC, ("hole", "block"), ("type", "points")),
+    "starter": (STARTER_MAGIC, ("starter", "infinite"), ("type", "modulus", "hole-size", "step")),
+    "gdd": (GDD_MAGIC, ("group", "block"), ("type", "points", "lambda")),
+}
+
+
+def _scan(text: str, kind: str):
+    """Check the magic line and sort the `key: value` rows by key: a list
+    of (lineno, value) for each repeated key, one (lineno, value) for each
+    single key present."""
+    magic, repeated, single = _FORMATS[kind]
     rows = list(_lines(text))
     if not rows or rows[0][1] != magic:
         raise ValueError(f"expected first line {magic!r}")
-    items = []
+    lists = {key: [] for key in repeated}
+    once = {}
     for lineno, line in rows[1:]:
         if ":" not in line:
             raise ValueError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, _, value = line.partition(":")
         key = key.strip()
-        if key not in allowed:
+        if key in lists:
+            lists[key].append((lineno, value.strip()))
+        elif key not in single:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        items.append((lineno, key, value.strip()))
-    return items
+        elif key in once:
+            raise ValueError(f"line {lineno}: second {key!r} line (the first is line {once[key][0]})")
+        else:
+            once[key] = (lineno, value.strip())
+    return lists, once
+
+
+def _single(once: dict, key: str, convert, default=None):
+    """A single key's value through `convert`; a bad value names its line."""
+    if key not in once:
+        return default
+    lineno, value = once[key]
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: bad {key} {value!r}: {exc}") from None
+
+
+def _check_declared(once: dict, t, points, source: str) -> None:
+    """The optional `type:` and `points:` lines must match what `source` gives."""
+    declared = _single(once, "type", parse_type)
+    if declared is not None and declared != t:
+        raise ValueError(f"declared type {declared} but the {source} give {t}")
+    declared = _single(once, "points", int)
+    if declared is not None and declared != points:
+        raise ValueError(f"declared {declared} points but the {source} hold {points}")
 
 
 def detect_format(text: str) -> str:
     for _, line in _lines(text):
-        if line == DESIGN_MAGIC:
-            return "design"
-        if line == STARTER_MAGIC:
-            return "starter"
-        if line == GDD_MAGIC:
-            return "gdd"
+        for kind, (magic, _, _) in _FORMATS.items():
+            if line == magic:
+                return kind
         raise ValueError(f"unrecognized first line {line!r}")
     raise ValueError("empty file")
 
@@ -99,21 +136,14 @@ def detect_format(text: str) -> str:
 
 
 def parse_design(text: str) -> Design:
-    items = _header_and_items(text, DESIGN_MAGIC, {"type", "points", "hole", "block"})
-    holes, blocks = [], []
-    declared_type, declared_points = None, None
-    for lineno, key, value in items:
-        if key == "hole":
-            holes.append([_token(t) for t in value.split()])
-        elif key == "block":
-            pts = [_token(t) for t in value.split()]
-            if len(pts) != 4:
-                raise ValueError(f"line {lineno}: block needs 4 points, got {len(pts)}")
-            blocks.append(pts)
-        elif key == "type":
-            declared_type = parse_type(value)
-        elif key == "points":
-            declared_points = int(value)
+    rows, once = _scan(text, "design")
+    holes = [[_token(t) for t in value.split()] for _, value in rows["hole"]]
+    blocks = []
+    for lineno, value in rows["block"]:
+        pts = [_token(t) for t in value.split()]
+        if len(pts) != 4:
+            raise ValueError(f"line {lineno}: block needs 4 points, got {len(pts)}")
+        blocks.append(pts)
     tokens = [tok for row in holes + blocks for tok in row]
     base = max((v for is_label, v in tokens if not is_label), default=-1) + 1
 
@@ -126,10 +156,7 @@ def parse_design(text: str) -> Design:
         [tuple(point(t) for t in row) for row in blocks],
         label_base=base if any(is_label for is_label, _ in tokens) else None,
     )
-    if declared_type is not None and design.type != declared_type:
-        raise ValueError(f"declared type {declared_type} but holes give {design.type}")
-    if declared_points is not None and declared_points != len(design.points):
-        raise ValueError(f"declared {declared_points} points but holes hold {len(design.points)}")
+    _check_declared(once, design.type, len(design.points), "holes")
     return design
 
 
@@ -150,32 +177,12 @@ def serialize_design(design: Design) -> str:
 
 
 def parse_starter(text: str) -> StarterSet:
-    items = _header_and_items(
-        text, STARTER_MAGIC, {"type", "modulus", "hole-size", "step", "infinite", "starter"}
-    )
-    modulus = hole_size = None
-    step = 1
-    infinite: list = []
-    starters = []  # (lineno, tokens)
-    declared_type = None
-    for lineno, key, value in items:
-        if key == "starter":
-            pts = [_token(t) for t in value.split()]
-            if len(pts) != 4:
-                raise ValueError(f"line {lineno}: starter needs 4 entries, got {len(pts)}")
-            starters.append((lineno, pts))
-        elif key == "modulus":
-            modulus = int(value)
-        elif key == "hole-size":
-            hole_size = int(value)
-        elif key == "step":
-            step = int(value)
-        elif key == "infinite":
-            infinite.extend(_token(t) for t in value.split())
-        elif key == "type":
-            declared_type = parse_type(value)
+    rows, once = _scan(text, "starter")
+    modulus = _single(once, "modulus", int)
+    hole_size = _single(once, "hole-size", int)
     if modulus is None or hole_size is None:
         raise ValueError("starter file needs 'modulus:' and 'hole-size:' lines")
+    infinite = [_token(t) for _, value in rows["infinite"] for t in value.split()]
     u = len(infinite)
     if sorted(infinite) != [(True, k) for k in range(1, u + 1)]:
         raise ValueError(f"'infinite:' must list the labels x1..x{u}, each once")
@@ -187,15 +194,20 @@ def parse_starter(text: str) -> StarterSet:
             raise ValueError(f"line {lineno}: starter entry {entry} outside Z_{modulus} and x1..x{u}")
         return modulus + v - 1 if is_label else v
 
+    starters = []
+    for lineno, value in rows["starter"]:
+        pts = [_token(t) for t in value.split()]
+        if len(pts) != 4:
+            raise ValueError(f"line {lineno}: starter needs 4 entries, got {len(pts)}")
+        starters.append(tuple(point(lineno, t) for t in pts))
     ss = StarterSet(
         modulus=modulus,
         hole_size=hole_size,
-        step=step,
+        step=_single(once, "step", int, 1),
         u=u,
-        starters=tuple(tuple(point(lineno, t) for t in row) for lineno, row in starters),
+        starters=tuple(starters),
     )
-    if declared_type is not None and ss.type != declared_type:
-        raise ValueError(f"declared type {declared_type} but geometry gives {ss.type}")
+    _check_declared(once, ss.type, None, "modulus and hole size")
     return ss
 
 
@@ -217,29 +229,16 @@ def serialize_starter(ss: StarterSet) -> str:
 
 
 def parse_gdd(text: str) -> GDD:
-    items = _header_and_items(text, GDD_MAGIC, {"lambda", "type", "points", "group", "block"})
-    lam = 1
-    groups, blocks = [], []
-    declared_type, declared_points = None, None
-    for lineno, key, value in items:
-        if key == "group":
-            groups.append([_int_token(t) for t in value.split()])
-        elif key == "block":
-            pts = [_int_token(t) for t in value.split()]
-            if len(pts) < 2:
-                raise ValueError(f"line {lineno}: block needs at least 2 points")
-            blocks.append(tuple(pts))
-        elif key == "lambda":
-            lam = int(value)
-        elif key == "type":
-            declared_type = parse_type(value)
-        elif key == "points":
-            declared_points = int(value)
-    g = GDD(groups, blocks, lam=lam)
-    if declared_type is not None and g.type != declared_type:
-        raise ValueError(f"declared type {declared_type} but groups give {g.type}")
-    if declared_points is not None and declared_points != len(g.points):
-        raise ValueError(f"declared {declared_points} points but groups hold {len(g.points)}")
+    rows, once = _scan(text, "gdd")
+    groups = [[_int_token(t) for t in value.split()] for _, value in rows["group"]]
+    blocks = []
+    for lineno, value in rows["block"]:
+        pts = [_int_token(t) for t in value.split()]
+        if len(pts) < 2:
+            raise ValueError(f"line {lineno}: block needs at least 2 points")
+        blocks.append(tuple(pts))
+    g = GDD(groups, blocks, lam=_single(once, "lambda", int, 1))
+    _check_declared(once, g.type, len(g.points), "groups")
     return g
 
 

@@ -277,7 +277,7 @@ class Prover:
         g = math.gcd(*(s for s, _ in t.items))
         blocked = []
         for m in divisors(g):
-            if m < 3 or mols_capacity(m) < 2:
+            if mols_capacity(m) < 2:
                 continue
             base = TypeSpec(tuple((s // m, c) for s, c in t.items))
             child = self.resolve(base)

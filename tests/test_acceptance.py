@@ -280,13 +280,16 @@ def test_criterion_7c_census_develop_equivalence():
     not os.environ.get("HSD_LARGE"),
     reason="large-scale run is optional; set HSD_LARGE=1 to include it",
 )
-def test_optional_large_run():
+# 3^484 6^1 is planned through a weighted TD(6, 121), so its build needs GF(121)
+@pytest.mark.parametrize("n, u, count", [(88, 125, 33726), (484, 6, 530343)])
+def test_optional_large_run(n, u, count):
     prover = Prover(large=True)
-    out = prover.prove(88, 125)
+    out = prover.prove(n, u)
     assert out.verdict == EXISTS
     d = prover.materialize(out.recipe)
-    t = uniform_type(88, 125)
+    t = uniform_type(n, u)
     assert d.type == t
-    assert len(d.blocks) == expected_block_count(t) == 33726
+    assert len(d.blocks) == expected_block_count(t) == count
     assert verify_design(d).ok
-    print("OPTIONAL LARGE RUN PASS: 33726 blocks verified")
+    assert check_frame(d).ok
+    print(f"OPTIONAL LARGE RUN PASS: {count} blocks verified")

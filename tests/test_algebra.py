@@ -1,8 +1,10 @@
 """Finite fields, Latin squares, transversal designs, GDD verification."""
 
+import hashlib
+import json
+
 import pytest
 
-from hsd import algebra
 from hsd.algebra import (
     GDD,
     divisors,
@@ -34,29 +36,51 @@ def test_divisors_match_brute_force():
     assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
 
-@pytest.mark.parametrize("q", sorted({2, 3, 5, 7, *algebra._IRREDUCIBLE}))
+# sha256 of json.dumps([add, mul]) for each field, recorded when every
+# modulus came from a fixed table: the first-irreducible rule must pick it
+FIELD_DIGESTS = {
+    2: "eb374c239a915ab0cb686d49dec7c1be5c3a70338f7090d90829e52bc91af497",
+    3: "bc0b374670218a300476b8457641bebbd1992ba1b214a7bacd82bba9fc74bac1",
+    4: "559f09956e1ddb3d9425d0626cf3e47dc77392f65b46c5f6bf41976c74264e61",
+    5: "e48277cf07becbe8ad9c4ea95f7a8c8dfe6ba19bc0910b3841261cdfdb3766f2",
+    7: "e171f79966102eb0ecff7b012b35774319a5a8071b7cac0548f031325978eb2b",
+    8: "b21ac862c3f06b598852feb50e8b033f3ab052f20e9402207907bd0469f75094",
+    9: "79bb4cd8f52a31aa701959e41c288364385ff3d4044788e4d4c4f0357da07adc",
+    11: "6a992e78445678a0f0e4282a3d733ab4a4b1a721fcc7f7f76d92b3cbeb0461c3",
+    13: "05fb0d82089e0de7eee9ac583fbb8a77bfc5e98efea2f489d0a418728b2b97be",
+    16: "f55fc9ff7c2051e46907f4ab2525ad072c5b224c0c0218377eae27f9584719a5",
+    25: "bd1af02ecfa747e3eca14e9804e74687d037aa9b0dc99c88b607ada0511ae756",
+    27: "b6c57edae35fabf7eb40addc6cc30b0622fdfc1c484bfc70578a242b630594a7",
+    32: "07e33e11b09ebf04c2513d9eeb64a6fa0b0809e5e6deaa33fc496be706ec43de",
+    49: "724368665479c6a6a7b508ddc504cc19311b9c2e02f7b85b53fc7f9b127aeb54",
+    64: "304cb29736223800325c234791c33f7cab72b8882b88560dc52b5a09a4e0c2f5",
+    81: "b9614211aadf4dcc6a27538b6feb7660712000668073bf6acbbcdf503ceed1ca",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_DIGESTS))
+def test_field_tables_are_frozen(q):
+    digest = hashlib.sha256(json.dumps(gf(q)).encode()).hexdigest()
+    assert digest == FIELD_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", [*sorted(FIELD_DIGESTS), 121, 125, 128])
 def test_field_axioms(q):
-    f = gf(q)
+    add, mul = gf(q)
     els = range(q)  # 0 and 1 encode the field's zero and one
     for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert [f.add(a, b) for b in els].count(0) == 1  # one negative
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert add[a].count(0) == 1  # one negative
         if a:
-            assert [f.mul(a, b) for b in els].count(1) == 1  # one inverse
+            assert mul[a].count(1) == 1  # one inverse
+        assert [add[b][a] for b in els] == list(add[a])
+        assert [mul[b][a] for b in els] == list(mul[a])
+        times_a = mul[a]
         for b in els:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            ab, times_a = f.mul(a, b), f.mul_table[a]
-            for c, bc in enumerate(f.add_table[b]):
-                assert times_a[bc] == f.add(ab, times_a[c])  # a(b + c) = ab + ac
-
-
-def test_gf_rejects_a_reducible_modulus(monkeypatch):
-    # x^2 + 1 = (x + 1)^2 over GF(2), so x + 1 has no inverse
-    monkeypatch.setitem(algebra._IRREDUCIBLE, 4, (1, 0, 1))
-    with pytest.raises(ValueError, match="modulus for GF\\(4\\) is reducible"):
-        algebra.GF(4)
+            plus_ab = add[times_a[b]]
+            # a(b + c) = ab + ac for every c
+            assert [times_a[bc] for bc in add[b]] == [plus_ab[ac] for ac in times_a]
 
 
 def test_gf_rejects_composite_orders():
@@ -76,6 +100,15 @@ def test_mols_pairs(m):
     a, b = mols(m, 2)
     assert is_latin_square(a) and is_latin_square(b)
     assert check_orthogonal(a, b)
+
+
+def test_mols_builds_every_order_it_claims():
+    for m in range(1, 126):
+        k = min(4, mols_capacity(m))
+        if k >= 2:
+            squares = mols(m, k)
+            assert len(squares) == k, m
+            assert {len(row) for sq in squares for row in sq} == {m} == {len(sq) for sq in squares}
 
 
 def test_mols_capacity_and_limits():

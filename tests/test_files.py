@@ -130,3 +130,14 @@ def test_parse_starter_rejects_wrong_kind():
 def test_design_round_trip_survives_relabeled_large_entry():
     d = catalog_get("A7/3^8 10^1").design()
     assert parse_design(serialize_design(d)) == d
+
+
+def test_second_line_for_a_single_key_is_rejected():
+    text = EX21.replace("step: 1\n", "step: 1\nstep: 3\n")
+    with pytest.raises(ValueError, match=r"line 7: second 'step' line \(the first is line 6\)"):
+        parse_starter(text)
+
+
+def test_bad_integer_names_its_line():
+    with pytest.raises(ValueError, match="line 4: bad modulus 'abc'"):
+        parse_starter(EX21.replace("modulus: 21", "modulus: abc"))

@@ -147,7 +147,8 @@ def _mutants(d, seed, count):
             out.append(blocks[:i] + blocks[i + 1:])
         elif kind == 1:  # duplicate a block
             out.append(blocks + [blocks[i]])
-        elif kind == 2:  # overwrite one coordinate with an outside point
+        elif kind == 2 and not set(points) <= set(blocks[i]):
+            # overwrite one coordinate with an outside point
             blk = list(blocks[i])
             j = rng.randrange(4)
             p = rng.choice(points)
@@ -155,18 +156,20 @@ def _mutants(d, seed, count):
                 continue
             blk[j] = p
             out.append(blocks[:i] + [tuple(blk)] + blocks[i + 1:])
-        else:  # transpose the first two coordinates only
+        else:  # transpose the first two coordinates only; kind 2 without an outside point
             a, b, c, e = blocks[i]
             out.append(blocks[:i] + [(b, a, c, e)] + blocks[i + 1:])
     return out
 
 
 def test_mutations_flagged_by_both_checkers():
-    d = catalog_get("A1/3^8 1^1").design()
-    for k, blocks in enumerate(_mutants(d, seed=20260819, count=20)):
-        bad = Design(d.holes, blocks)
-        assert not verify_design(bad).ok, f"mutant {k} slipped past the design check"
-        assert not check_frame(bad)[0], f"mutant {k} slipped past the frame check"
+    # every block of S/1^4 holds every point, so none has an outside point
+    for key in ("A1/3^8 1^1", "S/1^4"):
+        d = catalog_get(key).design()
+        for k, blocks in enumerate(_mutants(d, seed=20260819, count=20)):
+            bad = Design(d.holes, blocks)
+            assert not verify_design(bad).ok, f"{key} mutant {k} slipped past the design check"
+            assert not check_frame(bad)[0], f"{key} mutant {k} slipped past the frame check"
 
 
 def test_transpose_involution():
