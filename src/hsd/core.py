@@ -17,6 +17,10 @@ rewriting
 which leaves the colored pairs untouched; `canonical_block` picks the
 lexicographically least of the four forms.
 
+`verify_design` certifies a design in one pass over its blocks, reading
+them as colored pair coverage, and explains a failure from what that pass
+recorded; `quasigroup.check_frame` is the independent second checker.
+
 Points are plain integers, so every ordering below is natural integer
 order.  The long-hole points of a starter set, written "x1", "x2", ... in
 files, are the integers g, g+1, ... just past Z_g; a Design remembers where
@@ -29,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
@@ -268,6 +273,10 @@ class HoleStructure:
 class Design:
     """A hole structure plus a block list (blocks stored canonically sorted).
 
+    Each block is kept in its canonical form and the list is sorted, so
+    copies of one block sit side by side; `verify_design` relies on this
+    to name a repeated block.
+
     Points from `label_base` on are the long-hole points a file writes as
     "x1", "x2", ...; None means every point is written as a number.
     """
@@ -329,127 +338,83 @@ class Diagnostics(list):
 
 
 def verify_design(design: Design) -> VerificationReport:
-    """Certify a design from scratch.
+    """Certify a design from scratch, in one pass over its blocks.
 
-    A valid design is certified in one pass over its blocks: every block
-    must hold four known points from four distinct holes, and flags its
-    six (pair, color) slots in one bytearray of P*P flags per color.  A
-    slot flagged twice fails.  With no slot flagged twice and exactly
-    `expected_block_count` blocks, the 6 * expected slots, all of them
-    cross pairs, cover every cross pair once in every color.
+    Points are indexed 0..P-1 and each color keeps P*P flags, one per
+    pair slot, with the slots inside a hole flagged before the pass.  Each
+    block of four known points flags its six (pair, color) slots, which
+    must all be clear: a block meeting a hole twice, or repeating a point,
+    finds one of its slots already flagged.  With no slot flagged twice
+    and exactly `expected_block_count` blocks, the 6 * expected slots, all
+    of them cross pairs, cover every cross pair once in every color.
+    Nothing is borrowed from the construction that produced the design.
 
-    Any failure re-walks the blocks by counting, which writes the
-    diagnostics (at most `MAX_ERRORS`): bad blocks, repeated blocks,
-    pairs covered twice or missing, and a wrong block count.  Neither
-    pass trusts the construction that produced the design.
+    A failure is noted where the pass finds it: a block with an unknown
+    point, a block meeting a hole twice, a repeated block (copies sit side
+    by side, as `Design` keeps its blocks sorted), and each slot flagged
+    again, which is counted.  Only then do short loops add the pairs
+    covered more than once, in the order they were first covered, the
+    pairs missing and a wrong block count, up to `MAX_ERRORS` messages.
     """
-    if _flags_each_slot_once(design):
-        return VerificationReport(True, [])
-    return _verify_by_counting(design)
-
-
-def _flags_each_slot_once(design: Design) -> bool:
-    """True when the design is valid; False on its first failure, with no
-    diagnostics."""
     st = design.structure
-    try:
-        expected = expected_block_count(st.type())
-    except ValueError:
-        return False
-    blocks = design.blocks
-    if len(blocks) != expected:
-        return False
-    hole_of = st._hole_of
-    P = len(st.points)
-    index = None if st.points == tuple(range(P)) else {p: i for i, p in enumerate(st.points)}
-    one, two, three = bytearray(P * P), bytearray(P * P), bytearray(P * P)
-    try:
-        for blk in blocks:
-            a, b, c, d = blk
-            if len({hole_of[a], hole_of[b], hole_of[c], hole_of[d]}) != 4:
-                return False
-            if index is not None:
-                a, b, c, d = index[a], index[b], index[c], index[d]
-            ab = a * P + b if a < b else b * P + a
-            cd = c * P + d if c < d else d * P + c
-            ac = a * P + c if a < c else c * P + a
-            bd = b * P + d if b < d else d * P + b
-            ad = a * P + d if a < d else d * P + a
-            bc = b * P + c if b < c else c * P + b
-            if one[ab] or one[cd] or two[ac] or two[bd] or three[ad] or three[bc]:
-                return False
-            one[ab] = one[cd] = two[ac] = two[bd] = three[ad] = three[bc] = 1
-    except (KeyError, TypeError, ValueError):  # unknown point, a float like 3.0, not 4 entries
-        return False
-    return True
-
-
-def _verify_by_counting(design: Design) -> VerificationReport:
-    """The counting verifier: same verdict as `verify_design`, plus the
-    diagnostics it reports."""
-    st = design.structure
-    errors = Diagnostics()
     try:
         expected = expected_block_count(st.type())
     except ValueError as exc:
         # A parity-impossible type can still be reported on, with no blocks valid.
         return VerificationReport(False, [str(exc)])
-
-    seen = Counter()
-    covered = Counter()
+    pts = st.points
+    P = len(pts)
+    index = {p: i for i, p in enumerate(pts)}
+    hole_at = [st._hole_of[p] for p in pts]
+    inside = bytearray(P * P)
+    for hole in st.holes:
+        ids = [index[p] for p in hole]
+        for i in ids:
+            for j in ids:
+                inside[i * P + j] = 1
+    flags = one, two, three = inside, bytearray(inside), bytearray(inside)
+    errors = Diagnostics()
+    extra = Counter()  # (color, slot) -> covers past the first
+    prev = repeated = None
     for blk in design.blocks:
-        if len(blk) != 4:
-            errors.note(f"block {blk!r} does not have 4 entries")
-            continue
-        if any(p not in st._hole_of for p in blk):
+        try:
+            a, b, c, d = index[blk[0]], index[blk[1]], index[blk[2]], index[blk[3]]
+        except KeyError:
             errors.note(f"block {blk!r} uses unknown points")
             continue
-        holes_hit = {st.hole_of(p) for p in blk}
-        if len(holes_hit) != 4:
-            errors.note(f"block {blk!r} meets a hole twice")
-            continue
-        key = canonical_block(blk)
-        seen[key] += 1
-        if seen[key] == 2:
-            errors.note(f"block {key!r} occurs more than once")
-        for pr, color in block_pairs(blk):
-            covered[(pr, color)] += 1
-
-    for item, count in covered.items():
-        if count > 1:
-            errors.note(f"pair {item[0]!r} covered {count} times in color {item[1]}")
-
-    want_total = 6 * expected  # two pairs per color per block
-    got_total = sum(covered.values())
-    if got_total != want_total or len(covered) != want_total:
-        # only hunt for the missing pairs when something is actually wrong
-        if len(errors) < MAX_ERRORS:
-            missing = _first_missing_pairs(st, covered, MAX_ERRORS - len(errors))
-            for pr, color in missing:
-                errors.note(f"pair {pr!r} missing in color {color}")
-        if not errors:
-            errors.note(f"covered {got_total} pair slots, expected {want_total}")
-
-    if len(design.blocks) != expected:
-        errors.note(f"{len(design.blocks)} blocks, expected {expected}")
-
-    ok = not errors and got_total == want_total and len(covered) == want_total
-    return VerificationReport(ok, errors)
-
-
-def _first_missing_pairs(st: HoleStructure, covered: Counter, limit: int) -> list:
-    out = []
-    pts = st.points
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if st.same_hole(p, q):
+        ab = a * P + b if a < b else b * P + a
+        cd = c * P + d if c < d else d * P + c
+        ac = a * P + c if a < c else c * P + a
+        bd = b * P + d if b < d else d * P + b
+        ad = a * P + d if a < d else d * P + a
+        bc = b * P + c if b < c else c * P + b
+        if one[ab] or one[cd] or two[ac] or two[bd] or three[ad] or three[bc]:
+            if len({hole_at[a], hole_at[b], hole_at[c], hole_at[d]}) != 4:
+                errors.note(f"block {blk!r} meets a hole twice")
                 continue
-            for color in COLORS:
-                if (pair(p, q), color) not in covered:
-                    out.append((pair(p, q), color))
-                    if len(out) >= limit:
-                        return out
-    return out
+            if blk == prev != repeated:
+                errors.note(f"block {blk!r} occurs more than once")
+                repeated = blk
+            for color, slot in ((1, ab), (1, cd), (2, ac), (2, bd), (3, ad), (3, bc)):
+                if flags[color - 1][slot]:
+                    extra[color, slot] += 1
+        one[ab] = one[cd] = two[ac] = two[bd] = three[ad] = three[bc] = 1
+        prev = blk
+    if extra:
+        for blk in design.blocks:
+            if all(p in index for p in blk) and len({st._hole_of[p] for p in blk}) == 4:
+                for pr, color in block_pairs(blk):
+                    key = color, index[pr[0]] * P + index[pr[1]]
+                    if key in extra:
+                        errors.note(f"pair {pr!r} covered {extra.pop(key) + 1} times in color {color}")
+    if errors or len(design.blocks) != expected:
+        gaps = (((pts[i], pts[j]), color) for i in range(P) for j in range(i + 1, P)
+                for color in COLORS if not flags[color - 1][i * P + j])
+        for pr, color in islice(gaps, max(MAX_ERRORS - len(errors), 0)):
+            errors.note(f"pair {pr!r} missing in color {color}")
+        if len(design.blocks) != expected:
+            errors.note(f"{len(design.blocks)} blocks, expected {expected}")
+    return VerificationReport(not errors, errors)
 
 
 def relabel(design: Design, mapping=None) -> Design:

@@ -10,10 +10,10 @@ c*d = a and d*c = b.  `design_to_frame` builds that table, and
 `check_frame` re-derives a design's validity purely on the table side
 (each row and column a permutation of the points outside its hole, plus
 the identity), which gives an independent second route to verification.
-It certifies on a flat P*P product table and walks the table cell by
-cell only to explain a failure; neither pass borrows from `core`'s
-verifier, so the two checkers stay two.  They share only the report type
-and its capped error list.
+It makes one pass that fills a flat P*P product table, and explains a
+failure from that table; nothing in it borrows from `core`'s verifier,
+so the two checkers stay two.  They share only the report type and its
+capped error list.
 """
 
 from __future__ import annotations
@@ -52,99 +52,90 @@ def check_frame(design: Design) -> VerificationReport:
     and column x are permutations of the points outside x's hole, and
     (x*y)*(y*x) = x for every defined cell.
 
-    A valid design is certified on one flat P*P product table (see
-    `_fills_frame_table`).  Any failure walks the table again by cells,
-    which writes the diagnostics (at most `MAX_ERRORS`).
-    """
-    if _fills_frame_table(design):
-        return VerificationReport(True, [])
-    return _walk_frame_table(design)
+    One pass fills a flat P*P table: points are indexed 0..P-1, cell
+    (x, y) is tab[x*P + y], -1 while undefined, and every cell inside a
+    hole holds P.  A block of four known points whose four cells are
+    distinct and undefined sets them at once.  Any other block sets them
+    one at a time, since it may repeat a cell of its own: it counts each
+    cell defined again and keeps a product inside a hole apart, in
+    `inside`.  A block with an unknown point is noted and skipped.  Then
+    row x and column x must each sort to the points outside x's hole
+    followed by one P per point of the hole.
 
-
-def _fills_frame_table(design: Design) -> bool:
-    """True when the design is a frame; False on its first failure, with no
-    diagnostics.
-
-    Points are indexed 0..P-1 and cell (x, y) is tab[x*P + y], -1 when
-    undefined.  Each block sets its four cells, which must be unset and
-    lie across four distinct holes.  With 4 * blocks equal to the number
-    of cross cells, every row and column slice sorts to its hole's
-    template: one -1 per point of the hole, then the points outside it.
-
-    The identity (x*y)*(y*x) = x needs no pass of its own.  The block
-    (a, b, c, d) is the only writer of its four cells, so for (x, y) =
-    (a, b), (b, a), (c, d) or (d, c) the pair (x*y, y*x) is (c, d), (d, c),
-    (a, b) or (b, a), whose product is a, b, c or d: x each time.
+    When every block took the first path the identity needs no pass of
+    its own.  The block (a, b, c, d) is then the only writer of its four
+    cells, so for (x, y) = (a, b), (b, a), (c, d) or (d, c) the pair
+    (x*y, y*x) is (c, d), (d, c), (a, b) or (b, a), whose product is a, b,
+    c or d: x each time.  Otherwise the defined cells, in the order they
+    were first defined, name the cells defined more than once, the cells
+    inside a hole and the failures of the identity.  At most `MAX_ERRORS`
+    messages are kept.
     """
     st = design.structure
-    hole_of = st._hole_of
     pts = st.points
     P = len(pts)
-    blocks = design.blocks
-    if 4 * len(blocks) != P * P - sum(len(h) ** 2 for h in st.holes):
-        return False
-    index = None if pts == tuple(range(P)) else {p: i for i, p in enumerate(pts)}
+    index = {p: i for i, p in enumerate(pts)}
+    hole_at = [st._hole_of[p] for p in pts]
     tab = [-1] * (P * P)
-    try:
-        for blk in blocks:
-            a, b, c, d = blk
-            if len({hole_of[a], hole_of[b], hole_of[c], hole_of[d]}) != 4:
-                return False
-            if index is not None:
-                a, b, c, d = index[a], index[b], index[c], index[d]
-            ab, ba, cd, dc = a * P + b, b * P + a, c * P + d, d * P + c
-            if tab[ab] >= 0 or tab[ba] >= 0 or tab[cd] >= 0 or tab[dc] >= 0:
-                return False
-            tab[ab], tab[ba], tab[cd], tab[dc] = c, d, a, b
-    except (KeyError, TypeError, ValueError):  # a point outside the holes, a non-int cell index
-        return False
-
-    hole_at = [hole_of[p] for p in pts]
-    for h, hole in enumerate(st.holes):
-        want = [-1] * len(hole) + [i for i in range(P) if hole_at[i] != h]
-        for p in hole:
-            x = p if index is None else index[p]
-            row = tab[x * P:(x + 1) * P]
-            col = tab[x::P]
-            if sorted(row) != want or sorted(col) != want:
-                return False
-    return True
-
-
-def _walk_frame_table(design: Design) -> VerificationReport:
-    """The cell-by-cell frame check: same verdict as `check_frame`, plus
-    the diagnostics it reports."""
-    st = design.structure
+    for hole in st.holes:
+        ids = [index[p] for p in hole]
+        for i in ids:
+            for j in ids:
+                tab[i * P + j] = P
+    inside = {}  # cell inside a hole -> its product, set only one at a time
     errors = Diagnostics()
-    cells = Counter()
-    table = {}
+    extra = Counter()  # cell -> definitions past the first
     for blk in design.blocks:
-        if len(blk) != 4 or any(p not in st._hole_of for p in blk):
+        try:
+            a, b, c, d = index[blk[0]], index[blk[1]], index[blk[2]], index[blk[3]]
+        except KeyError:
             errors.note(f"malformed block {blk!r}")
             continue
-        a, b, c, d = blk
-        for x, y, z in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
-            cells[(x, y)] += 1
-            table[(x, y)] = z
-    for (x, y), k in cells.items():
-        if k > 1:
-            errors.note(f"product {x!r}*{y!r} defined {k} times")
-
-    pts = st.points
-    for x in pts:
-        outside = [q for q in pts if not st.same_hole(x, q)]
-        want = set(outside)
-        row = [table.get((x, y)) for y in outside]
-        col = [table.get((y, x)) for y in outside]
-        if set(row) != want:
-            errors.note(f"row {x!r} is not a permutation of the points outside its hole")
-        if set(col) != want:
-            errors.note(f"column {x!r} is not a permutation of the points outside its hole")
-    for (x, y), z in table.items():
-        if st.same_hole(x, y):
-            errors.note(f"product {x!r}*{y!r} crosses no hole boundary")
+        ab, ba, cd, dc = a * P + b, b * P + a, c * P + d, d * P + c
+        if ab != cd and ab != dc and tab[ab] < 0 and tab[ba] < 0 and tab[cd] < 0 and tab[dc] < 0:
+            tab[ab], tab[ba], tab[cd], tab[dc] = c, d, a, b
             continue
-        w = table.get((y, x))
-        if w is None or table.get((z, w)) != x:
-            errors.note(f"identity fails at ({x!r}, {y!r})")
+        for x, y, z in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
+            cell = x * P + y
+            if hole_at[x] == hole_at[y]:
+                again, inside[cell] = cell in inside, z
+            else:
+                again, tab[cell] = tab[cell] >= 0, z
+            if again:
+                extra[cell] += 1
+
+    cells = {}
+    if extra or inside:  # some block set its cells one at a time
+        cells = dict.fromkeys(
+            index[x] * P + index[y]
+            for a, b, c, d in design.blocks if all(p in index for p in (a, b, c, d))
+            for x, y in ((a, b), (b, a), (c, d), (d, c))
+        )
+        for cell in cells:
+            if extra[cell]:
+                x, y = divmod(cell, P)
+                errors.note(f"product {pts[x]!r}*{pts[y]!r} defined {extra[cell] + 1} times")
+
+    bad = []  # (x, 0) for row x, (x, 1) for column x
+    for h, hole in enumerate(st.holes):
+        want = [i for i in range(P) if hole_at[i] != h] + [P] * len(hole)
+        for p in hole:
+            x = index[p]
+            if sorted(tab[x * P:(x + 1) * P]) != want:
+                bad.append((x, 0))
+            if sorted(tab[x::P]) != want:
+                bad.append((x, 1))
+    for x, column in sorted(bad):
+        line = "column" if column else "row"
+        errors.note(f"{line} {pts[x]!r} is not a permutation of the points outside its hole")
+
+    for cell in cells:
+        x, y = divmod(cell, P)
+        if hole_at[x] == hole_at[y]:
+            errors.note(f"product {pts[x]!r}*{pts[y]!r} crosses no hole boundary")
+            continue
+        w = tab[y * P + x]
+        zw = tab[cell] * P + w
+        if w < 0 or inside.get(zw, tab[zw]) != x:
+            errors.note(f"identity fails at ({pts[x]!r}, {pts[y]!r})")
     return VerificationReport(not errors, errors)

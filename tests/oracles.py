@@ -10,10 +10,15 @@ encodes a*b = c, b*a = d, c*d = a, d*c = b, and the identity makes the
 four equations consistent.  A quasigroup is its product table, a plain
 dict {(x, y): x*y}, and its identity checks return `VerificationReport`.
 Latin squares are plain row lists, as `algebra.mols` builds them.
+
+`assert_reports_frozen` holds the package's two checkers to each other
+and to digests of what they said about a list of designs.
 """
 
-from hsd.core import Design, Diagnostics, VerificationReport, canonical_block
-from hsd.quasigroup import design_to_frame
+import hashlib
+
+from hsd.core import Design, Diagnostics, VerificationReport, canonical_block, verify_design
+from hsd.quasigroup import check_frame, design_to_frame
 
 
 def check_schroder(table: dict) -> VerificationReport:
@@ -80,3 +85,16 @@ def check_orthogonal(a, b) -> bool:
     n = len(a)
     seen = {(a[i][j], b[i][j]) for i in range(n) for j in range(n)}
     return len(seen) == n * n
+
+
+def assert_reports_frozen(designs, digests: dict) -> None:
+    """`verify_design` and `check_frame` reach the same verdict on every
+    design, and the sha256 of every `(ok, errors)` each returns, one per
+    line, is the one in `digests`, keyed by the checker's name."""
+    for d in designs:
+        assert verify_design(d).ok == check_frame(d).ok, d.blocks
+    got = {}
+    for check in (verify_design, check_frame):
+        text = "\n".join(repr((rep.ok, list(rep.errors))) for rep in map(check, designs))
+        got[check.__name__] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == digests

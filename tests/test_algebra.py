@@ -182,6 +182,16 @@ def test_verify_gdd_flags_group_interior_pair():
     assert not verify_gdd(g).ok
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [((0, 2, 2), "block (0, 2, 2) repeats a point"), ((0, 2, 9), "block (0, 2, 9) uses unknown points")],
+)
+def test_verify_gdd_names_a_bad_block(block, message):
+    g = GDD(groups=[(0, 1), (2, 3), (4, 5)], blocks=[(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)])
+    rep = verify_gdd(GDD(g.groups, list(g.blocks[1:]) + [block]))
+    assert not rep.ok and rep.errors[0] == message
+
+
 def test_bundled_gdd_entry_verifies():
     from hsd.catalog import catalog_get
 

@@ -103,6 +103,19 @@ def test_verify_entry_gdd_kind():
     assert row.blocks == 9
 
 
+@pytest.mark.parametrize(
+    "key, field, wrong, message",
+    [
+        ("GDD/3^4", "type", parse_type("3^5"), "manifest type 3^5, file holds 3^4"),
+        ("S/3^4", "type", parse_type("3^5"), "manifest type 3^5, entry develops to 3^4"),
+        ("S/3^4", "expected_blocks", 28, "27 blocks, manifest expects 28"),
+    ],
+)
+def test_verify_entry_names_a_manifest_mismatch(key, field, wrong, message):
+    row = verify_entry(dataclasses.replace(catalog_get(key), **{field: wrong}))
+    assert not row.ok and row.errors == [message]
+
+
 def test_verify_entry_repaired_rows_pass():
     for e in catalog_list(status="repaired"):
         assert verify_entry(e).ok, e.id

@@ -28,13 +28,12 @@ from hsd.core import (
     uniform_type,
     verify_design,
     VerificationReport,
-    _flags_each_slot_once,
-    _verify_by_counting,
 )
 from hsd.catalog import catalog_get
 from hsd.constructions import fill_holes_a, multiply
 from hsd.development import difference_census
-from hsd.quasigroup import _walk_frame_table, check_frame
+from hsd.quasigroup import check_frame
+from oracles import assert_reports_frozen
 
 
 # --- blocks -----------------------------------------------------------------
@@ -390,9 +389,7 @@ def test_every_checker_returns_one_falsy_report_on_a_failure():
     design, starters, gdd = _broken_ex21()
     for check, obj, want in (
         (verify_design, design, _DESIGN_ERRORS),
-        (_verify_by_counting, design, _DESIGN_ERRORS),
         (check_frame, design, _FRAME_ERRORS),
-        (_walk_frame_table, design, _FRAME_ERRORS),
         (difference_census, starters, _CENSUS_ERRORS),
         (verify_gdd, gdd, _GDD_ERRORS),
     ):
@@ -479,11 +476,14 @@ def test_relabel_with_explicit_mapping_preserves_verification():
     assert verify_design(r).ok
 
 
-# --- the flag verifier against the counting verifier ------------------------
+# --- both checkers on valid and damaged designs -------------------------------
 #
-# verify_design certifies a valid design by flagging (pair, color) slots and
-# hands anything else to _verify_by_counting, which writes the diagnostics.
-# Both must give the same report on every design, valid or damaged.
+# verify_design and check_frame each certify a valid design in one pass and
+# explain a failure from what that pass recorded.  The digests below freeze
+# every (ok, errors) of both checkers on the damage sets; they were recorded
+# when each checker still wrote its messages in a second, cell-by-cell or
+# pair-counting pass, so they pin that pass's messages and their order.  The
+# two checkers must also reach the same verdict on every design.
 
 @lru_cache(maxsize=None)
 def _valid_designs():
@@ -563,39 +563,72 @@ def _mutated(d, mutations, seed):
     return Design(holes, blocks)
 
 
-def _assert_verifiers_agree(d):
-    counted = _verify_by_counting(d)
-    assert verify_design(d) == counted  # verdict, counts and every message
-    assert _flags_each_slot_once(d) == counted.ok
-
-
 def test_verifiers_agree_on_valid_designs():
-    for d in _valid_designs():
-        assert _verify_by_counting(d).ok
-        _assert_verifiers_agree(d)
+    s14 = catalog_get("S/1^4").design()
+    floated = Design(s14.holes, [(0, 1.0, 2, 3)] + list(s14.blocks[1:]))  # passes at 1.0 == 1
+    assert isinstance(floated.blocks[0][1], float)
+    for d in _valid_designs() + (floated,):
+        assert verify_design(d) == (True, []) and check_frame(d) == (True, [])
+
+
+DAMAGE_DIGESTS = {
+    "drop": {
+        "verify_design": "bcddd81a702256c131a3e5e2b1cd25d35a988e6b795de26331d645a8eca657b2",
+        "check_frame": "95981bae6a64c4480dc5418654e0e1abe835e78daedb81a2cc4797450d117b00",
+    },
+    "duplicate": {
+        "verify_design": "525bfe41cf9525caa675dfd76ad475ef8b8d1b00cc7f63ec20d2caad7ef8a37f",
+        "check_frame": "7a37fece325092534feeb9360b7683c9bc9afce5d7591e44391d2e0f081944e3",
+    },
+    "drop_and_duplicate": {
+        "verify_design": "a6eb3bf517ecb5cf9af8123a0023d741785e043c9a2e51310f57dd9bf6bb652f",
+        "check_frame": "2c82cbd6e68247bdd88efc242ed072b67f8f6ca6a1a18357d93a6590eb600bed",
+    },
+    "meet_a_hole_twice": {
+        "verify_design": "cbb63f00c8174ba02b838425c7dfd0dc5938e2cee0ddc923208fc9869e609aa9",
+        "check_frame": "d0f3c3ac9e709b189780225553580faedd562e71643639a3748ecc6573b1f9ae",
+    },
+    "move_point_across_holes": {
+        "verify_design": "d057965eafaaf457d4d1d51aff5a932311d807cb8d027039f8984411836498d1",
+        "check_frame": "8de613581cdcb834f7db04d552c712f69287dc60b796d0faf51a40d311d41c32",
+    },
+    "use_unknown_point": {
+        "verify_design": "152b549d63b3785d07b05905b88b13d6c3a9cface84288967cd9059163fad39a",
+        "check_frame": "94af0dcced81ba627c32f7c57dc8aa797ea58058b627182d69bf3e438a09d70b",
+    },
+    "swap_points_between_blocks": {
+        "verify_design": "39fe8d8eedf85e48020de03ca7248e94bdf4866d5ca505a13c894fb9e8d576cc",
+        "check_frame": "58cf3905f94730864927fb5bfb61cdbac66a7efe480f65e68397968e2af54059",
+    },
+}
 
 
 @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__.strip("_"))
 def test_verifiers_agree_on_each_damage(mutate):
-    for d in _valid_designs():
-        for seed in range(3):
-            damaged = _mutated(d, [mutate], seed)
-            _assert_verifiers_agree(damaged)
-            if mutate is not _swap_points_between_blocks:  # a swap may change nothing
-                assert not verify_design(damaged).ok
+    damaged = [_mutated(d, [mutate], seed) for d in _valid_designs() for seed in range(3)]
+    assert_reports_frozen(damaged, DAMAGE_DIGESTS[mutate.__name__.strip("_")])
+    if mutate is not _swap_points_between_blocks:  # a swap may change nothing
+        assert not any(verify_design(d).ok for d in damaged)
+
+
+PARITY_DIGESTS = {
+    "verify_design": "88e553f8fb8e81294d46969a8e783364f70662e83874598959398f7e8feafdb0",
+    "check_frame": "3bb857a3b8e108bc3511d45db003ac2fce7c9a51f659483c6cd2e054be0fa097",
+}
 
 
 def test_verifiers_agree_on_parity_impossible_types():
     s14 = catalog_get("S/1^4").design()
-    for d in (
+    designs = [
         Design([(0,), (1,), (2,)], []),  # 1^3: three cross pairs
         Design([(0, 1), (2,), (3,)], s14.blocks),  # 2^1 1^2: five cross pairs
-    ):
+    ]
+    for d in designs:
         with pytest.raises(ValueError):
             expected_block_count(d.type)
-        _assert_verifiers_agree(d)
         rep = verify_design(d)
         assert not rep.ok and "odd cross-pair count" in rep.errors[0]
+    assert_reports_frozen(designs, PARITY_DIGESTS)
 
 
 @given(
@@ -604,7 +637,8 @@ def test_verifiers_agree_on_parity_impossible_types():
     st.integers(0, 2**32 - 1),
 )
 def test_verifiers_agree_on_mutated_designs(base, mutations, seed):
-    _assert_verifiers_agree(_mutated(_valid_designs()[base], mutations, seed))
+    d = _mutated(_valid_designs()[base], mutations, seed)
+    assert verify_design(d).ok == check_frame(d).ok
 
 
 def _random_block_fuzz(seed, cases):

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -101,6 +102,20 @@ def test_census_passes_on_step_one_starters():
         assert ss.step == 1
         rep = difference_census(ss)
         assert rep.ok, (key, rep.errors)
+
+
+@pytest.mark.parametrize(
+    "key, i, starter, message",
+    [
+        ("Ex2.1", 1, (0, 2, 2, 1), "starter (0, 2, 2, 1) repeats an entry"),
+        ("A2/3^9 2^1", 0, (0, 1, 28, 27), "starter (0, 1, 28, 27) holds two long-hole points"),
+    ],
+)
+def test_census_names_a_bad_starter(key, i, starter, message):
+    ss = _starter(key)
+    assert ss.step == 1
+    rep = difference_census(replace(ss, starters=ss.starters[:i] + (starter,) + ss.starters[i + 1:]))
+    assert not rep.ok and rep.errors[0] == message
 
 
 def test_census_refuses_larger_steps():

@@ -141,3 +141,31 @@ def test_second_line_for_a_single_key_is_rejected():
 def test_bad_integer_names_its_line():
     with pytest.raises(ValueError, match="line 4: bad modulus 'abc'"):
         parse_starter(EX21.replace("modulus: 21", "modulus: abc"))
+
+
+S14 = catalog_get("S/1^4").text()
+GDD34 = catalog_get("GDD/3^4").text()
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (detect_format, "# a comment and nothing else\n", "empty file"),
+        (parse_design, S14 + "no colon here\n", "line 12: expected 'key: value', got 'no colon here'"),
+        (parse_design, S14.replace("type: 1^4", "type: 1^5"), "declared type 1^5 but the holes give 1^4"),
+        (parse_design, S14.replace("points: 4", "points: 5"), "declared 5 points but the holes hold 4"),
+        (parse_starter, EX21.replace("modulus: 21\n", ""),
+         "starter file needs 'modulus:' and 'hole-size:' lines"),
+        (parse_starter, EX21.replace("starter: 0 2 12 1", "starter: 0 2 12"),
+         "line 9: starter needs 4 entries, got 3"),
+        (parse_gdd, GDD34.replace("block: 0 3 6 9", "block: 0"), "line 10: block needs at least 2 points"),
+        (parse_gdd, GDD34.replace("block: 0 3 6 9", "block: 0 3 6 x1"),
+         "bad point token 'x1': expected an integer"),
+    ],
+    ids=["empty", "no-colon", "declared-type", "declared-points", "no-modulus", "short-starter",
+         "one-point-block", "label-in-gdd"],
+)
+def test_input_errors_name_the_problem(parse, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value) == message

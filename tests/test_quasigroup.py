@@ -12,8 +12,9 @@ import hsd.quasigroup
 from hsd.catalog import catalog_get, catalog_list
 from hsd.constructions import fill_holes_a, multiply
 from hsd.core import Design, verify_design
-from hsd.quasigroup import _fills_frame_table, _walk_frame_table, check_frame, design_to_frame
+from hsd.quasigroup import check_frame, design_to_frame
 from oracles import (
+    assert_reports_frozen,
     check_schroder,
     check_weisner_pair,
     design_to_quasigroup,
@@ -181,24 +182,25 @@ def test_transpose_involution():
             assert t[(x, y)] == q[(x, y)]
 
 
-# --- product table against the cell walk ---------------------------------------
+# --- the frame check's reports, frozen -----------------------------------------
 #
-# check_frame certifies on a flat product table and hands every failure to
-# the cell-by-cell walk, which writes the diagnostics.  The table's verdict
-# and check_frame's whole answer must equal the walk's on good and broken
-# designs alike.
-
-def _assert_agree(d):
-    walked = _walk_frame_table(d)
-    assert _fills_frame_table(d) == walked[0]
-    assert check_frame(d) == walked
-    return walked
-
+# check_frame certifies on a flat product table and explains a failure from
+# the same table.  The digests below freeze every (ok, errors) of both
+# checkers on the damage sets; they were recorded when check_frame still
+# wrote its messages in a second, cell-by-cell walk, so they pin that walk's
+# messages and their order.  verify_design must reach the same verdict.
 
 def test_table_agrees_with_walk_on_catalog_designs():
-    for e in catalog_list():
-        if e.kind != "gdd":
-            assert _assert_agree(e.design()) == (True, []), e.id
+    s14 = catalog_get("S/1^4").design()
+    floated = Design(s14.holes, [(0, 1.0, 2, 3)] + list(s14.blocks[1:]))  # passes at 1.0 == 1
+    for d in [e.design() for e in catalog_list() if e.kind != "gdd"] + [floated]:
+        assert check_frame(d) == (True, []) and verify_design(d).ok, d
+
+
+INDEXED_DIGESTS = {
+    "verify_design": "ec7417bf3b2619a221ac0e90d9af9980fce8dc0c1441b7425edde9adc1acc904",
+    "check_frame": "4290ba0187a4a00fcd024ad2459b9108faed8a2c2cb17b7ac0d7afc0ed8ae239",
+}
 
 
 def test_table_agrees_with_walk_on_indexed_points():
@@ -209,9 +211,10 @@ def test_table_agrees_with_walk_on_indexed_points():
         [tuple(5 * p + 3 for p in blk) for blk in d.blocks],
     )
     assert moved.points != tuple(range(len(moved.points)))
-    assert _assert_agree(moved) == (True, [])
-    for blocks in _damaged(moved, random.Random(7)).values():
-        assert not _assert_agree(Design(moved.holes, blocks))[0]
+    assert check_frame(moved) == (True, [])
+    damaged = [Design(moved.holes, blocks) for blocks in _damaged(moved, random.Random(7)).values()]
+    assert not any(check_frame(bad).ok for bad in damaged)
+    assert_reports_frozen(damaged, INDEXED_DIGESTS)
 
 
 def test_table_agrees_with_walk_on_constructions():
@@ -220,7 +223,7 @@ def test_table_agrees_with_walk_on_constructions():
         catalog_get("C1/9^4 1^1").design(), 3, catalog_get("S/3^4").design(), keep_size=1
     )
     for d in (tripled, filled):
-        assert _assert_agree(d) == (True, [])
+        assert check_frame(d) == (True, []) and verify_design(d).ok
 
 
 DAMAGE = ("drop", "duplicate", "drop_and_duplicate", "swap_first_two", "into_own_hole", "unknown_point")
@@ -253,14 +256,28 @@ def _damaged(d, rng):
     return {kind: _damage(d, kind, rng) for kind in DAMAGE}
 
 
+DAMAGE_DIGESTS = {
+    "verify_design": "0aec9e7f19ce415e694757564b8913384331906991b83bd6e4cee7305d2e6efa",
+    "check_frame": "86bd8260f551f035b4876945d6105822d5f3a141c9fdfbdaf2a3a41801a4e043",
+}
+
+
 def test_table_agrees_with_walk_on_damage():
     rng = random.Random(20261018)
+    damaged = []
     for key in ["Ex2.1", "A1/3^8 1^1", "S/1^8", "C1/9^4 4^1"]:
         d = catalog_get(key).design()
         for _ in range(3):
-            for kind, blocks in _damaged(d, rng).items():
-                ok, errors = _assert_agree(Design(d.holes, blocks))
-                assert not ok and errors, (key, kind)
+            damaged += [Design(d.holes, blocks) for blocks in _damaged(d, rng).values()]
+    # a block that defines one cell twice, or a cell inside a hole, and a
+    # block written three times
+    s14 = catalog_get("S/1^4").design()
+    for first in [(0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 2)]:
+        damaged.append(Design(s14.holes, [first, *s14.blocks[1:]]))
+    damaged.append(Design(s14.holes, s14.blocks * 3))
+    assert not any(check_frame(bad).ok for bad in damaged)
+    assert all(check_frame(bad).errors for bad in damaged)
+    assert_reports_frozen(damaged, DAMAGE_DIGESTS)
 
 
 @given(
@@ -270,15 +287,15 @@ def test_table_agrees_with_walk_on_damage():
 )
 def test_table_agrees_with_walk_on_damage_property(key, kind, seed):
     d = catalog_get(key).design()
-    ok, _ = _assert_agree(Design(d.holes, _damage(d, kind, random.Random(seed))))
-    assert not ok
+    bad = Design(d.holes, _damage(d, kind, random.Random(seed)))
+    assert not check_frame(bad).ok and not verify_design(bad).ok
 
 
 def test_frame_check_stays_independent_of_the_design_verifier():
     # verify_design reads the blocks as pair coverage, check_frame as a
     # product table; if the second borrowed from the first, their agreement
     # would certify nothing
-    forbidden = {"verify_design", "_flags_each_slot_once", "_verify_by_counting", "block_pairs"}
+    forbidden = {"verify_design", "block_pairs"}
     tree = ast.parse(Path(hsd.quasigroup.__file__).read_text())
     used = set()
     for node in ast.walk(tree):
@@ -296,7 +313,7 @@ def test_frame_check_stays_independent_of_the_design_verifier():
 # On unit holes a design is a frame exactly when its total table, diagonal
 # included, is an idempotent Schroder quasigroup: a Latin square that
 # satisfies (x*y)*(y*x) = x.  The total side runs only the oracles in
-# tests/oracles.py, so it shares no code with check_frame's two passes.
+# tests/oracles.py, so it shares no code with check_frame.
 
 def _is_schroder_quasigroup(d):
     """The total side's verdict; a table the conversion refuses fails."""
