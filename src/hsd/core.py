@@ -254,9 +254,6 @@ class HoleStructure:
     def hole_of(self, p: int) -> int:
         return self._hole_of[p]
 
-    def same_hole(self, p: int, q: int) -> bool:
-        return self._hole_of[p] == self._hole_of[q]
-
     def type(self) -> TypeSpec:
         return TypeSpec.from_counts(Counter(len(h) for h in self.holes))
 

@@ -4,8 +4,8 @@ A starter set for type h^n u^1 lives on Z_g (g = h*n) plus u fixed
 points, the integers g..g+u-1 (written "x1".."xu" in files).  The cyclic
 holes are {i, i+n, ..., i+(h-1)n} for 0 <= i < n, and the fixed points
 form the long hole.  Developing means adding the step to every entry
-below g of every starter, modulo g, until the blocks repeat (up to block
-equivalence, so some starters have short orbits).
+below g of every starter, modulo g, until a translate is one of the
+starter's four forms again, so some starters have short orbits.
 
 For step 1 there is an arithmetic shortcut, `difference_census`: a starter
 set develops into a valid design exactly when, in every color, the signed
@@ -20,15 +20,14 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from hsd.algebra import divisors
 from hsd.core import (
     COLORS,
     Design,
     Diagnostics,
     TypeSpec,
     VerificationReport,
+    block_forms,
     block_pairs,
-    canonical_block,
     uniform_type,
 )
 
@@ -82,41 +81,25 @@ class StarterSet:
         return {(j * n) % g for j in range(1, h)}
 
 
-def shift_block(block, amount: int, modulus: int):
-    """Shift the entries below modulus; the long-hole points stay fixed."""
-    return tuple(p if p >= modulus else (p + amount) % modulus for p in block)
-
-
 def orbit(block, modulus: int, step: int = 1) -> list:
     """Distinct translates of a block under repeated shifting.
 
     The k-th translate shifts the entries below modulus by k * step and
-    leaves the long-hole points fixed; the list stops before the first
-    translate equivalent to the starter, so short orbits come out short.
-    Entries below modulus are taken as elements of Z_modulus (0 <= p).
+    leaves the long-hole points fixed.  The list starts with the k = 0
+    translate and stops before the first later one that is a form of the
+    block, so short orbits come out short; shifting by span * step, span =
+    modulus / gcd(modulus, step), is the identity, so the list never runs
+    past one span.  Entries below modulus are taken as elements of
+    Z_modulus (0 <= p).
     """
-    blk = tuple(block)
-    return [
-        tuple(p if p >= modulus else (p + k) % modulus for p in blk)
-        for k in range(0, orbit_length(blk, modulus, step) * step, step)
-    ]
-
-
-def orbit_length(block, modulus: int, step: int = 1) -> int:
-    """Number of distinct translates of a block, found without building them.
-
-    Shifting by span * step is the identity, span = modulus / gcd(modulus,
-    step), and the k with shift(block, k * step) equivalent to the block
-    form a subgroup of Z_span.  So the orbit length is the least divisor k
-    of span whose shift is equivalent to the block.
-    """
-    blk = tuple(block)
-    span = modulus // gcd(modulus, step)
-    key = canonical_block(blk)
-    for k in divisors(span)[:-1]:
-        if canonical_block(shift_block(blk, k * step, modulus)) == key:
-            return k
-    return span
+    forms = block_forms(block)
+    out = []
+    for k in range(0, modulus // gcd(modulus, step) * step, step):
+        t = tuple(p if p >= modulus else (p + k) % modulus for p in block)
+        if out and t in forms:
+            break
+        out.append(t)
+    return out
 
 
 def develop(ss: StarterSet) -> Design:

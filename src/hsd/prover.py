@@ -496,7 +496,6 @@ def prove_type(spec, materialize: bool = False, large: bool = False):
     design-or-None)."""
     t = spec if isinstance(spec, TypeSpec) else parse_type(spec)
     pv = Prover(large=large)
-    nu = t.split(3)
-    out = pv.prove(*nu) if nu is not None else pv.resolve(t)
+    out = pv.resolve(t)
     d = pv.materialize(out.recipe) if (out and materialize) else None
     return out, d

@@ -240,7 +240,9 @@ def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult
 
     def climb(steps):
         # Insert a block on a random missing item, evicting as few placed
-        # blocks as possible; ties break at random.
+        # blocks as possible; ties break at random.  `missing` holds only
+        # unowned items here: it is refiltered after every placement and
+        # repair, and `evict` adds only items it has just unowned.
         nonlocal missing, out_of_budget
         k = 0
         while missing and k < steps:
@@ -249,9 +251,6 @@ def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult
                 out_of_budget = True
                 return
             it = missing[rng.randrange(len(missing))]
-            if owner[it] != -1:
-                missing.remove(it)
-                continue
             best, best_evictions = [], None
             for cand in by_item[it]:
                 hit = set()

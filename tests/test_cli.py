@@ -1,5 +1,6 @@
 """Command-line surface: wording, exit statuses, pipelines, determinism."""
 
+import io
 import itertools
 import os
 import shlex
@@ -138,6 +139,12 @@ def test_verify_accepts_gdd_files(tmp_path, capsys):
     assert (code, out) == (0, f"PASS {f}: GDD 3^4 (9 blocks)\n")
 
 
+def test_verify_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(catalog_get("S/1^4").text()))
+    code, out, _ = run(capsys, "verify", "-")
+    assert (code, out) == (0, "PASS stdin: 1^4 (3 blocks)\n")
+
+
 def test_verify_accepts_starter_files_by_developing(tmp_path, capsys):
     f = tmp_path / "ex22.starter"
     f.write_text(catalog_get("Ex2.2").text())
@@ -158,6 +165,14 @@ def test_catalog_get_roundtrip(capsys):
     code, out, _ = run(capsys, "catalog", "get", "Ex2.1")
     assert code == 0
     assert out == catalog_get("Ex2.1").text()
+
+
+def test_catalog_get_prints_the_note_on_stderr(capsys):
+    code, out, err = run(capsys, "catalog", "get", "S/1^4")
+    assert code == 0
+    assert out == catalog_get("S/1^4").text()
+    assert err == f"note: {catalog_get('S/1^4').note}\n"
+    assert err.startswith("note: search_direct('1^4'")
 
 
 def test_catalog_get_unknown_key(capsys):
@@ -195,7 +210,7 @@ def test_prove_unknown(capsys):
 
 
 @pytest.mark.parametrize("text, code", [
-    ("3^12 4^1", 0), ("3^6", 1), ("3^29 16^1", 2), ("15^4 3^1 8^1", 0)])
+    ("3^12 4^1", 0), ("3^6", 1), ("3^29 16^1", 2), ("15^4 3^1 8^1", 0), ("3^1", 0)])
 def test_prove_prints_prove_type_verdict(capsys, text, code):
     got, out, _ = run(capsys, "prove", text)
     assert out == prove_type(text)[0].describe() + "\n"
@@ -351,6 +366,23 @@ def test_multiply_rejects_an_order_below_one(tmp_path, capsys, m):
     code, out, err = run(capsys, "multiply", str(f), m)
     assert code == 3 and out == ""
     assert err == f"error: order and count must be positive, got m = {m}, k = 2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["multiply", "{s14}", "10"], "order 10 needs a construction beyond the prime-power product"),
+    (["multiply", "{gdd}", "3"], "{gdd}: expected a design or starter file, found gdd"),
+    (["fill", "a", "{outer}", "{inner}", "--new-points", "3", "--keep", "5"],
+     "no hole of size 5 to keep"),
+], ids=["multiply-order-10", "multiply-gdd", "fill-keep-absent-size"])
+def test_construction_input_errors_name_the_problem(tmp_path, capsys, argv, message):
+    files = {}
+    for name, key in [("s14", "S/1^4"), ("gdd", "GDD/3^4"), ("outer", "C1/9^4 1^1"),
+                      ("inner", "S/3^4")]:
+        files[name] = str(tmp_path / f"{name}.txt")
+        Path(files[name]).write_text(catalog_get(key).text())
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (3, "")
+    assert err == f"error: {message.format(**files)}\n"
 
 
 def test_fill_command(tmp_path, capsys):

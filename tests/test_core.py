@@ -288,8 +288,6 @@ def test_hole_structure_basics():
     assert st_.type() == parse_type("3^2 1^1")
     # hole indices are an internal ordering; only membership is contractual
     assert st_.hole_of(3) == st_.hole_of(4) != st_.hole_of(0)
-    assert st_.same_hole(0, 2)
-    assert not st_.same_hole(2, 3)
 
 
 def test_hole_structure_rejects_duplicate_points():

@@ -15,8 +15,6 @@ from hsd.development import (
     develop,
     difference_census,
     orbit,
-    orbit_length,
-    shift_block,
 )
 
 
@@ -40,8 +38,9 @@ def test_same_hole_differences():
 
 
 def test_shift_block_fixes_labels():
-    assert shift_block((0, 1, 21, 5), 4, 21) == (4, 5, 21, 9)
-    assert shift_block((20, 0, 1, 2), 1, 21) == (0, 1, 2, 3)
+    # translates shift the entries below the modulus and keep the labels
+    assert orbit((0, 1, 21, 5), 21, 4)[1] == (4, 5, 21, 9)
+    assert orbit((20, 0, 1, 2), 21, 1)[1] == (0, 1, 2, 3)
 
 
 def test_full_orbit():
@@ -53,9 +52,9 @@ def test_full_orbit():
 def test_short_orbits_in_bundled_starters():
     ss = _starter("A1/3^8 1^1")
     assert ss.modulus == 24 and ss.step == 4
-    census = Counter(orbit_length(s, ss.modulus, ss.step) for s in ss.starters)
+    census = Counter(len(orbit(s, ss.modulus, ss.step)) for s in ss.starters)
     assert census == {3: 6, 6: 20}
-    short = next(s for s in ss.starters if orbit_length(s, ss.modulus, ss.step) == 3)
+    short = next(s for s in ss.starters if len(orbit(s, ss.modulus, ss.step)) == 3)
     blks = orbit(short, ss.modulus, ss.step)
     assert len(blks) == 3 == len(set(blks))
 
@@ -66,9 +65,9 @@ def test_orbit_length_divides_orbit_bound():
         g = 4 * rng.randint(2, 50)
         step = rng.choice([k for k in range(1, g + 1) if g % k == 0])
         b = tuple(rng.sample(range(g), 4))
-        length = orbit_length(b, g, step)
-        assert (g // step) % length == 0
-        assert len(set(orbit(b, g, step))) == length
+        blks = orbit(b, g, step)
+        assert (g // step) % len(blks) == 0
+        assert len(set(blks)) == len(blks)
 
 
 def test_develop_worked_example():
@@ -81,7 +80,7 @@ def test_develop_worked_example():
 
 def test_develop_counts_short_orbits_once():
     ss = _starter("Ex2.2")
-    census = Counter(orbit_length(s, ss.modulus, ss.step) for s in ss.starters)
+    census = Counter(len(orbit(s, ss.modulus, ss.step)) for s in ss.starters)
     assert census == {6: 3, 12: 11}
     d = develop(ss)
     assert len(d.blocks) == 3 * 6 + 11 * 12 == 150
@@ -154,12 +153,18 @@ def test_orbit_closes_property(mult, start):
     g = 4 * mult
     b = (start % g, (start + 1) % g, (start + 2) % g, g)  # g is the fixed point x1
     blks = orbit(b, g, 1)
-    # shifting by the full modulus returns to the start
-    assert shift_block(b, g, g) == b
-    assert len(blks) == orbit_length(b, g, 1)
+    # the orbit closes: developing its last translate gives the same blocks,
+    # and its length divides the modulus
+    assert set(orbit(blks[-1], g, 1)) == set(blks)
+    assert g % len(blks) == 0
 
 
-# --- divisor-tested orbits against the seen-set loop ---------------------------
+# --- orbits against the seen-set loop -----------------------------------------
+
+def _shift(block, amount, modulus):
+    """Shift the entries below modulus; the long-hole points stay fixed."""
+    return tuple(p if p >= modulus else (p + amount) % modulus for p in block)
+
 
 def _orbit_by_seen_set(block, modulus, step=1):
     """The orbit as it was first written: shift until a translate repeats."""
@@ -172,7 +177,7 @@ def _orbit_by_seen_set(block, modulus, step=1):
             break
         seen.add(key)
         out.append(cur)
-        cur = shift_block(cur, step, modulus)
+        cur = _shift(cur, step, modulus)
     return out
 
 
@@ -184,7 +189,7 @@ def test_orbit_matches_seen_set_loop_on_catalog_starters():
         for s in ss.starters:
             want = _orbit_by_seen_set(s, ss.modulus, ss.step)
             assert orbit(s, ss.modulus, ss.step) == want, (e.id, s)
-            assert orbit_length(s, ss.modulus, ss.step) == len(want), (e.id, s)
+            assert (ss.modulus // ss.step) % len(want) == 0, (e.id, s)
             short += len(want) < ss.modulus // ss.step
     assert steps - {1} and short  # steps above 1 and short orbits were both seen
 
@@ -202,4 +207,3 @@ def test_orbit_matches_seen_set_loop_property(g, u, step, raw):
     block = tuple(p % (g + u) for p in raw)
     want = _orbit_by_seen_set(block, g, step)
     assert orbit(block, g, step) == want
-    assert orbit_length(block, g, step) == len(want)

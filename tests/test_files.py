@@ -3,7 +3,7 @@
 import pytest
 
 from hsd.catalog import catalog_get
-from hsd.core import Design
+from hsd.core import Design, parse_type
 from hsd.files import (
     detect_format,
     parse_design,
@@ -161,9 +161,17 @@ GDD34 = catalog_get("GDD/3^4").text()
         (parse_gdd, GDD34.replace("block: 0 3 6 9", "block: 0"), "line 10: block needs at least 2 points"),
         (parse_gdd, GDD34.replace("block: 0 3 6 9", "block: 0 3 6 x1"),
          "bad point token 'x1': expected an integer"),
+        (parse_type, "0^3", "hole sizes and counts must be positive: '0^3'"),
+        (parse_design, S14.replace("hole: 0\n", "hole:\n"), "empty hole"),
+        (parse_design, "".join(line for line in S14.splitlines(True) if not line.startswith("hole:")),
+         "a hole structure needs at least one hole"),
+        (parse_starter, "hsd-starter v1\nmodulus: 10\nhole-size: 3\nstarter: 0 1 2 3\n",
+         "modulus 10 is not a multiple of hole size 3"),
+        (parse_gdd, GDD34.replace("group: 3 4 5", "group: 3 4 0"), "point 0 in two groups"),
     ],
     ids=["empty", "no-colon", "declared-type", "declared-points", "no-modulus", "short-starter",
-         "one-point-block", "label-in-gdd"],
+         "one-point-block", "label-in-gdd", "zero-hole-size", "empty-hole", "no-hole",
+         "modulus-not-a-multiple", "point-in-two-groups"],
 )
 def test_input_errors_name_the_problem(parse, text, message):
     with pytest.raises(ValueError) as exc:

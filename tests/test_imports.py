@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module, and
-every field its record types declare is read somewhere."""
+"""Every name a module of the package imports is used in that module,
+every field its record types declare is read somewhere, and every
+definition and method of the package has a caller."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,9 +62,13 @@ def declared_fields(source: str) -> list:
     return out
 
 
+def attribute_reads(tree) -> Counter:
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def attributes_read(source: str) -> set:
-    return {n.attr for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return set(attribute_reads(ast.parse(source)))
 
 
 def test_every_declared_field_is_read():
@@ -153,3 +160,60 @@ def test_the_check_sees_a_definition_without_a_caller():
     assert unreferenced_definitions(modules, ["import a\na.C()\n"]) == ["a.f", "a.g"]
     assert unreferenced_definitions(modules, ["import a\na.C()\n"], ["f"]) == ["a.g"]
     assert unreferenced_definitions(modules, []) == ["a.C", "a.f", "a.g"]
+
+
+def unread_methods(classes: dict, readers: list) -> list:
+    """`module.Class.name` for each method or property of a module-level
+    class of `classes` ({module name: (source, module namespace)}) whose
+    name no attribute of the `readers` sources reads outside the method
+    itself.  Dunders are exempt, and so are overrides of a method of a base
+    class, which the base class calls.  The match is by name only, as in
+    `test_every_declared_field_is_read`."""
+    read = Counter()
+    for source in readers:
+        read.update(attribute_reads(ast.parse(source)))
+    out = []
+    for module, (source, namespace) in classes.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = namespace[cls.name].__mro__[1:]
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = fn.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if any(name in vars(base) for base in bases):
+                    continue
+                if read[name] == attribute_reads(fn)[name]:
+                    out.append(f"{module}.{cls.name}.{name}")
+    return sorted(out)
+
+
+def test_every_method_has_a_caller():
+    """A method or property of a package class that no code of the package
+    or the benchmark reads is kept for the tests alone."""
+    classes = {path.stem: (path.read_text(),
+                           vars(importlib.import_module(f"hsd.{path.stem}".removesuffix(".__init__"))))
+               for path in MODULES}
+    readers = [path.read_text() for folder in ("src", "benchmarks")
+               for path in (ROOT / folder).rglob("*.py")]
+    assert unread_methods(classes, readers) == []
+
+
+def test_the_check_sees_a_method_without_a_caller():
+    source = (
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        pass\n"
+        "    def planted(self):\n        return self.planted()\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def __len__(self):\n        return 0\n"
+        "P().used()\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    assert unread_methods({"a": (source, namespace)}, [source]) == ["a.P.planted", "a.P.size"]
+    assert unread_methods({"a": (source, namespace)}, [source, "p.size\n"]) == ["a.P.planted"]

@@ -473,3 +473,7 @@ def test_prove_type_entry_point():
     assert design is not None and len(design.blocks) == 369
     out, design = prove_type(parse_type("3^29 16^1"))
     assert out.verdict == UNKNOWN_HERE and design is None
+    # one hole has no cross pairs: the empty design, not a failed 3^n u^1 cell
+    out, design = prove_type("3^1", materialize=True)
+    assert out.verdict == EXISTS and out.recipe.rule == "R-TRIV"
+    assert design.blocks == () and verify_design(design).ok
