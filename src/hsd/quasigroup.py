@@ -75,7 +75,7 @@ def check_frame(design: Design) -> VerificationReport:
     pts = st.points
     P = len(pts)
     index = {p: i for i, p in enumerate(pts)}
-    hole_at = [st._hole_of[p] for p in pts]
+    hole_at = [st.hole_of(p) for p in pts]
     tab = [-1] * (P * P)
     for hole in st.holes:
         ids = [index[p] for p in hole]

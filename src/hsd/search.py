@@ -18,9 +18,10 @@ up, so backtracking has nothing to undo.
 
 `search_orbits` is the step-k cousin: exact cover whose candidates are
 whole shift orbits, for types whose modulus rules step 1 out.  Both only
-reach shift-invariant designs.  `search_climb` drops completeness
-altogether and hill-climbs with exact-cover repair; it is the tool of last
-resort for small types that exist but carry no usable symmetry.
+reach shift-invariant designs.  `search_climb` drops completeness: a
+hill climb with exact-cover repair, for small types that exist but carry
+no usable symmetry.  Its state is the placed candidate per item, and a
+placed candidate owns all six of its items.
 
 Nothing here consults feasibility or the catalog; callers that want the
 cheap answer first should ask those directly.
@@ -206,8 +207,8 @@ def search_direct(t: TypeSpec, seed: int = 0, node_limit=None) -> SearchResult:
 
 
 def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult:
-    """Stochastic design finder: min-conflict block insertion with eviction,
-    plus exact-cover repair of the residue when the climb plateaus.
+    """Stochastic design finder: min-conflict block insertion with eviction
+    (Minton et al. 1992), plus exact-cover repair when the climb plateaus.
 
     Finds designs that stall the exhaustive search, but can never prove
     nonexistence: the only statuses are "found" and "timeout".  The nodes
@@ -215,40 +216,36 @@ def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult
     exact cover of at most 30,000 nodes, which the count leaves out.  The
     limit is required: a type with no design would keep the climb going
     forever.
+
+    The state is `owner`, the placed candidate per item (-1 for none), and
+    `missing`, the unowned items in the order they became so, which the
+    random draws pick from.  A placed candidate owns all six of its items,
+    since a placement first evicts every owner of its items and a repair
+    places only candidates whose items are all free.
     """
     holes = _holes_for(t)
     item_id, cand_blocks, cand_items = _candidates(holes)
-    n_items = len(item_id)
-    by_item = [[] for _ in range(n_items)]
+    by_item = [[] for _ in item_id]
     for ci, items in enumerate(cand_items):
         for it in items:
             by_item[it].append(ci)
 
     rng = random.Random(seed)
     budget = Budget(node_limit)
-    owner = [-1] * n_items  # covering candidate per item, -1 if none
-    placed: set = set()
-    missing = list(range(n_items))
-    out_of_budget = False
+    owner = [-1] * len(item_id)
+    missing = list(range(len(item_id)))
 
     def evict(prev):
-        placed.discard(prev)
         for kt in cand_items[prev]:
-            if owner[kt] == prev:
-                owner[kt] = -1
-                missing.append(kt)
+            owner[kt] = -1
+        missing.extend(cand_items[prev])
 
     def climb(steps):
         # Insert a block on a random missing item, evicting as few placed
-        # blocks as possible; ties break at random.  `missing` holds only
-        # unowned items here: it is refiltered after every placement and
-        # repair, and `evict` adds only items it has just unowned.
-        nonlocal missing, out_of_budget
-        k = 0
-        while missing and k < steps:
-            k += 1
-            if not budget.tick():
-                out_of_budget = True
+        # blocks as possible; ties break at random.
+        nonlocal missing
+        for _ in range(steps):
+            if not missing or not budget.tick():
                 return
             it = missing[rng.randrange(len(missing))]
             best, best_evictions = [], None
@@ -265,58 +262,43 @@ def search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult
                     best.append(cand)
             ci = best[rng.randrange(len(best))]
             for jt in cand_items[ci]:
-                prev = owner[jt]
-                if prev != -1 and prev != ci:
-                    evict(prev)
-            for jt in cand_items[ci]:
+                if owner[jt] != -1:
+                    evict(owner[jt])
                 owner[jt] = ci
-            placed.add(ci)
             missing = [m for m in missing if owner[m] == -1]
 
     def repair(node_budget):
         # Drop a few blocks, then ask the exhaustive solver to recover the
-        # freed items exactly.  Returns True when everything got covered.
-        nonlocal missing
-        if placed:
-            drop = min(len(placed), 4 + rng.randrange(8))
-            for prev in rng.sample(sorted(placed), drop):
-                evict(prev)
-        missing = [m for m in missing if owner[m] == -1]
-        free = sorted(set(missing))
-        remap = {it: i for i, it in enumerate(free)}
-        free_set = set(free)
+        # freed items exactly; a sub-candidate is first met at its least item.
+        placed = sorted(set(owner) - {-1})  # not empty: each climb places a block
+        for prev in rng.sample(placed, min(len(placed), 4 + rng.randrange(8))):
+            evict(prev)
+        remap = {it: i for i, it in enumerate(sorted(missing))}
         sub_cands, sub_real = [], []
-        considered = set()
-        for it in free:
+        for it in remap:
             for ci in by_item[it]:
-                if ci in considered:
-                    continue
-                considered.add(ci)
                 its = cand_items[ci]
-                if all(jt in free_set for jt in its):
+                if min(its) == it and all(jt in remap for jt in its):
                     sub_cands.append(tuple(remap[jt] for jt in its))
                     sub_real.append(ci)
-        status, chosen = ExactCover(len(free), sub_cands).solve(
+        status, chosen = ExactCover(len(remap), sub_cands).solve(
             random.Random(rng.randrange(1 << 30)), Budget(node_budget), "mrv"
         )
         if status == FOUND:
             for sci in chosen:
-                real = sub_real[sci]
-                for jt in cand_items[real]:
-                    owner[jt] = real
-                placed.add(real)
-            missing = [m for m in missing if owner[m] == -1]
-        return not missing
+                for jt in cand_items[sub_real[sci]]:
+                    owner[jt] = sub_real[sci]
+            missing.clear()
 
     climb(40000)
-    while missing and not out_of_budget:
-        if repair(30000):
-            break
-        climb(2000)
+    while missing and budget.nodes <= node_limit:
+        repair(30000)
+        if missing:
+            climb(2000)
 
     if missing:
         return SearchResult(TIMEOUT, nodes=budget.nodes)
-    design = Design(holes, [cand_blocks[ci] for ci in placed])
+    design = Design(holes, [cand_blocks[ci] for ci in set(owner)])
     return SearchResult(FOUND, design=design, nodes=budget.nodes)
 
 

@@ -13,12 +13,21 @@ Latin squares are plain row lists, as `algebra.mols` builds them.
 
 `assert_reports_frozen` holds the package's two checkers to each other
 and to digests of what they said about a list of designs.
+
+`reference_search_climb` is `search_climb` with redundant state: beside
+`owner` and `missing` it keeps the placed set, a budget flag and a seen
+set for the repair's candidates, and it re-checks ownership that the
+climb's invariant already settles.  The search tests hold the two to
+equal results and equal repair sub-problems.
 """
 
 import hashlib
+import random
 
-from hsd.core import Design, Diagnostics, VerificationReport, canonical_block, verify_design
+from hsd.core import (Design, Diagnostics, TypeSpec, VerificationReport, canonical_block,
+                      verify_design)
 from hsd.quasigroup import check_frame, design_to_frame
+from hsd.search import FOUND, TIMEOUT, Budget, ExactCover, SearchResult, _candidates, _holes_for
 
 
 def check_schroder(table: dict) -> VerificationReport:
@@ -98,3 +107,118 @@ def assert_reports_frozen(designs, digests: dict) -> None:
         text = "\n".join(repr((rep.ok, list(rep.errors))) for rep in map(check, designs))
         got[check.__name__] = hashlib.sha256(text.encode()).hexdigest()
     assert got == digests
+
+
+def reference_search_climb(t: TypeSpec, seed: int = 0, *, node_limit: int) -> SearchResult:
+    """Stochastic design finder: min-conflict block insertion with eviction,
+    plus exact-cover repair of the residue when the climb plateaus.
+
+    Finds designs that stall the exhaustive search, but can never prove
+    nonexistence: the only statuses are "found" and "timeout".  The nodes
+    counted against `node_limit` are climb steps; each repair runs its own
+    exact cover of at most 30,000 nodes, which the count leaves out.  The
+    limit is required: a type with no design would keep the climb going
+    forever.
+    """
+    holes = _holes_for(t)
+    item_id, cand_blocks, cand_items = _candidates(holes)
+    n_items = len(item_id)
+    by_item = [[] for _ in range(n_items)]
+    for ci, items in enumerate(cand_items):
+        for it in items:
+            by_item[it].append(ci)
+
+    rng = random.Random(seed)
+    budget = Budget(node_limit)
+    owner = [-1] * n_items  # covering candidate per item, -1 if none
+    placed: set = set()
+    missing = list(range(n_items))
+    out_of_budget = False
+
+    def evict(prev):
+        placed.discard(prev)
+        for kt in cand_items[prev]:
+            if owner[kt] == prev:
+                owner[kt] = -1
+                missing.append(kt)
+
+    def climb(steps):
+        # Insert a block on a random missing item, evicting as few placed
+        # blocks as possible; ties break at random.  `missing` holds only
+        # unowned items here: it is refiltered after every placement and
+        # repair, and `evict` adds only items it has just unowned.
+        nonlocal missing, out_of_budget
+        k = 0
+        while missing and k < steps:
+            k += 1
+            if not budget.tick():
+                out_of_budget = True
+                return
+            it = missing[rng.randrange(len(missing))]
+            best, best_evictions = [], None
+            for cand in by_item[it]:
+                hit = set()
+                for jt in cand_items[cand]:
+                    prev = owner[jt]
+                    if prev != -1:
+                        hit.add(prev)
+                e = len(hit)
+                if best_evictions is None or e < best_evictions:
+                    best_evictions, best = e, [cand]
+                elif e == best_evictions:
+                    best.append(cand)
+            ci = best[rng.randrange(len(best))]
+            for jt in cand_items[ci]:
+                prev = owner[jt]
+                if prev != -1 and prev != ci:
+                    evict(prev)
+            for jt in cand_items[ci]:
+                owner[jt] = ci
+            placed.add(ci)
+            missing = [m for m in missing if owner[m] == -1]
+
+    def repair(node_budget):
+        # Drop a few blocks, then ask the exhaustive solver to recover the
+        # freed items exactly.  Returns True when everything got covered.
+        nonlocal missing
+        if placed:
+            drop = min(len(placed), 4 + rng.randrange(8))
+            for prev in rng.sample(sorted(placed), drop):
+                evict(prev)
+        missing = [m for m in missing if owner[m] == -1]
+        free = sorted(set(missing))
+        remap = {it: i for i, it in enumerate(free)}
+        free_set = set(free)
+        sub_cands, sub_real = [], []
+        considered = set()
+        for it in free:
+            for ci in by_item[it]:
+                if ci in considered:
+                    continue
+                considered.add(ci)
+                its = cand_items[ci]
+                if all(jt in free_set for jt in its):
+                    sub_cands.append(tuple(remap[jt] for jt in its))
+                    sub_real.append(ci)
+        status, chosen = ExactCover(len(free), sub_cands).solve(
+            random.Random(rng.randrange(1 << 30)), Budget(node_budget), "mrv"
+        )
+        if status == FOUND:
+            for sci in chosen:
+                real = sub_real[sci]
+                for jt in cand_items[real]:
+                    owner[jt] = real
+                placed.add(real)
+            missing = [m for m in missing if owner[m] == -1]
+        return not missing
+
+    climb(40000)
+    while missing and not out_of_budget:
+        if repair(30000):
+            break
+        climb(2000)
+
+    if missing:
+        return SearchResult(TIMEOUT, nodes=budget.nodes)
+    design = Design(holes, [cand_blocks[ci] for ci in placed])
+    return SearchResult(FOUND, design=design, nodes=budget.nodes)

@@ -359,6 +359,16 @@ def test_multiply_command(tmp_path, capsys):
     assert len(d.blocks) == 243
 
 
+def test_multiply_prints_the_diagnostics_of_a_product_that_fails(tmp_path, capsys):
+    # a base design short of one block multiplies to a design short of nine
+    base = catalog_get("S/3^4").design()
+    f = tmp_path / "base.design"
+    f.write_text(serialize_design(Design(base.structure, base.blocks[1:], base.label_base)))
+    code, out, err = run(capsys, "multiply", str(f), "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("  pair (0, 9) missing in color 1\n")
+
+
 @pytest.mark.parametrize("m", ["0", "-3"])
 def test_multiply_rejects_an_order_below_one(tmp_path, capsys, m):
     f = tmp_path / "base.design"

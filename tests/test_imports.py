@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every field its record types declare is read somewhere, and every
-definition and method of the package has a caller."""
+every field its record types declare is read somewhere, every
+definition and method of the package has a caller, and no module reads
+another's private attributes."""
 
 import ast
 import importlib
@@ -217,3 +218,40 @@ def test_the_check_sees_a_method_without_a_caller():
     exec(source, namespace)
     assert unread_methods({"a": (source, namespace)}, [source]) == ["a.P.planted", "a.P.size"]
     assert unread_methods({"a": (source, namespace)}, [source, "p.size\n"]) == ["a.P.planted"]
+
+
+def foreign_private_reads(source: str) -> list:
+    """`name (line n)` for each read `x._name` of the source (dunders
+    exempt) whose `_name` the source neither assigns nor defines: a private
+    attribute of some other module's object."""
+    tree = ast.parse(source)
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS):
+            own.add(node.name)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            own.add(node.attr)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            own.add(node.id)
+    return [f"{n.attr} (line {n.lineno})" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and n.attr.startswith("_") and not n.attr.endswith("__") and n.attr not in own]
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    """A class's private attributes are read through its methods, so the
+    class can change them without its callers."""
+    reads = {path.name: foreign_private_reads(path.read_text()) for path in MODULES}
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_check_sees_a_foreign_private_read():
+    owner = (
+        "class S:\n    def __init__(self):\n        self._of = {}\n"
+        "    def _helper(self):\n        return self._of, self.__dict__\n"
+        "_cache = {}\n"
+        "def f(s, m):\n    return s._helper(), m._cache\n"
+    )
+    reader = "def g(st):\n    return st._of[0], st.of, st.__class__\n"
+    assert foreign_private_reads(owner) == []
+    assert foreign_private_reads(reader) == ["_of (line 2)"]

@@ -208,6 +208,29 @@ def test_nine_family_ingredients_match_the_reference():
         assert TypeSpec.of(*map(sum, groups)) == uniform_type(9, 18 + 2 * k, 9)
 
 
+def test_weighted_td_ingredients_are_catalog_entries():
+    # why R-TDW and R-9FAM never note an unsettled ingredient: every type a
+    # weighting can ask for is in the catalog
+    tdw = {TypeSpec.of(3, 3, 3, 3, *(w for w in extra if w)) for extra in
+           itertools.product((0, 3), (0, 2, 4))}
+    nine = {parse_type("1^9 2^1"), parse_type("1^9 4^1")}
+    asked = {}  # the ingredients depend on each group's set of weights alone
+    for m in range(4, 40):
+        for k in range(m + 1):
+            for u in range(0, 4 * m + 1, 2):
+                groups = prover_mod._tdw_groups(m, k, u)
+                weights = tuple(map(frozenset, groups))
+                if weights not in asked:
+                    asked[weights] = prover_mod._td_ingredients(groups)
+    assert set().union(*asked.values()) == tdw
+    for k in range(10):
+        assert set(prover_mod._td_ingredients(prover_mod._9fam_groups(k))) <= nine
+    pv = Prover()
+    for t in sorted(tdw | nine, key=str):
+        out = pv.resolve(t)
+        assert out.verdict == EXISTS and out.recipe.rule == "R-CAT", t
+
+
 @pytest.mark.parametrize("text, rule, digest", [
     # recorded before one weight list per rule fed planning and building
     ("3^51 49^1", "R-TDW", "cdaeddd7f024dd6dbe26389593fb2318293ab3004a2fd0142c388776ff062357"),

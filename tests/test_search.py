@@ -28,6 +28,7 @@ from hsd.search import (
     search_orbits,
     search_starters,
 )
+import oracles
 
 
 def test_budget_counts_nodes():
@@ -248,6 +249,37 @@ def test_search_climb_requires_a_node_limit():
         search_climb(parse_type("1^5"))
     with pytest.raises(TypeError):
         search_climb(parse_type("1^5"), 0, 3000)  # keyword only
+
+
+class _RecordingCover(ExactCover):
+    """An `ExactCover` that logs each problem it is given: item count and
+    each candidate's items, in order."""
+
+    log: list = []
+
+    def __init__(self, n_items, cand_items):
+        self.log.append((n_items, [tuple(c) for c in cand_items]))
+        super().__init__(n_items, cand_items)
+
+
+_CLIMB_GRID = [(t, seed, 3000) for t in ("1^4", "1^5", "2^4 1^1", "2^5", "1^8")
+               for seed in range(3)] + [("1^4 3^1", seed, 50_000) for seed in range(2)]
+
+
+def test_search_climb_matches_the_reference(monkeypatch):
+    # same result, node count and design as the reference, and the same
+    # repair sub-problems, which is all that gates the repair's found branch
+    logs = []
+    for module, climb in ((search, search_climb), (oracles, oracles.reference_search_climb)):
+        log = []
+        monkeypatch.setattr(_RecordingCover, "log", log)
+        monkeypatch.setattr(module, "ExactCover", _RecordingCover)
+        results = [climb(parse_type(t), seed=seed, node_limit=limit)
+                   for t, seed, limit in _CLIMB_GRID]
+        logs.append((log, [(r.status, r.nodes, r.design) for r in results]))
+    assert logs[0] == logs[1]
+    assert len(logs[0][0]) >= 10  # repairs ran
+    assert {status for status, _, _ in logs[0][1]} == {FOUND, TIMEOUT}
 
 
 def test_search_result_truthiness():
