@@ -77,13 +77,28 @@ def _load_design(path: str, gdd_ok: bool = False):
     raise ValueError(f"{path}: expected a design or starter file, found {kind}")
 
 
+def _passes(report, heading: str = None) -> bool:
+    """True when `report` passed; else its diagnostics go to stderr, after
+    `heading` if one is given."""
+    if not report.ok:
+        lines = [f"  {err}" for err in report.errors]
+        print("\n".join([heading, *lines] if heading else lines), file=sys.stderr)
+    return report.ok
+
+
+def _load_inputs(*paths):
+    """The designs in `paths`, or None when one fails verification: a
+    broken input is named, with its diagnostics, before anything is built."""
+    designs = [_load_design(path) for path in paths]
+    ok = [_passes(verify_design(d), f"input {path} fails verification:")
+          for path, d in zip(paths, designs)]
+    return designs if all(ok) else None
+
+
 def _deliver(result: Design, output, what: str) -> int:
     """Verify a built design, then write it and report it as `what`; on a
     failure print the diagnostics instead."""
-    report = verify_design(result)
-    if not report.ok:
-        for err in report.errors:
-            print(f"  {err}", file=sys.stderr)
+    if not _passes(verify_design(result)):
         return NEGATIVE
     _write(output, serialize_design(result))
     print(f"{what}: {len(result.blocks)} blocks, verified", file=sys.stderr)
@@ -102,12 +117,8 @@ def cmd_verify(args) -> int:
         is_gdd = isinstance(obj, GDD)
         report = verify_gdd(obj) if is_gdd else verify_design(obj)
         label = f"{'GDD ' if is_gdd else ''}{obj.type} ({len(obj.blocks)} blocks)"
-        if report.ok:
-            print(f"PASS {name}: {label}")
-        else:
-            print(f"FAIL {name}: {label}")
-            for err in report.errors:
-                print(f"  {err}", file=sys.stderr)
+        print(f"{'PASS' if report.ok else 'FAIL'} {name}: {label}")
+        if not _passes(report):
             worst = NEGATIVE
     return worst
 
@@ -237,19 +248,24 @@ def cmd_search(args) -> int:
 
 
 def cmd_multiply(args) -> int:
-    design = _load_design(args.file)
+    inputs = _load_inputs(args.file)
+    if inputs is None:
+        return NEGATIVE
+    (design,) = inputs
     result = multiply(design, args.m)
     return _deliver(result, args.output, f"{design.type} x {args.m} -> {result.type}")
 
 
 def cmd_fill(args) -> int:
-    outer = _load_design(args.outer)
     if args.variant == "a":
-        result = fill_holes_a(outer, args.new_points, _load_design(args.inner),
-                              keep_size=args.keep)
+        fill, paths = fill_holes_a, (args.outer, args.inner)
     else:
-        result = fill_holes_b(outer, args.new_points, _load_design(args.inner_s),
-                              _load_design(args.inner_t), keep_size=args.keep)
+        fill, paths = fill_holes_b, (args.outer, args.inner_s, args.inner_t)
+    inputs = _load_inputs(*paths)
+    if inputs is None:
+        return NEGATIVE
+    outer, *inners = inputs
+    result = fill(outer, args.new_points, *inners, keep_size=args.keep)
     return _deliver(result, args.output, f"filled -> {result.type}")
 
 

@@ -1,14 +1,14 @@
 """Existence engine: decide EXISTS / INFEASIBLE / UNKNOWN_HERE for a type.
 
-The resolver runs a fixed rule chain against a design type: trivial types,
-necessary conditions, the scale cap, the bundled catalog, a tiny
+The resolver runs three gates, then six rules, each of which gives a
+recipe or nothing.  The gates settle trivial types, infeasible types and
+types past the scale cap; the rules are the bundled catalog, a tiny
 exhaustive search, and the recursive constructions (weighting a
 transversal design, multiplying by an orthogonal square pair, filling
-holes).  EXISTS verdicts carry a recipe tree; `materialize` replays a
-recipe into an actual design and verifies it.  INFEASIBLE is only ever
-issued through the counting conditions on types 3^n u^1, so a NONE from
-the search fallback is reported as UNKNOWN_HERE with a note rather than
-upgraded.
+holes, the nine-hole family).  `materialize` replays a recipe into an
+actual design and verifies it.  INFEASIBLE is only ever issued through
+the counting conditions on types 3^n u^1, so a NONE from the search
+fallback is reported as UNKNOWN_HERE with a note rather than upgraded.
 
 Verdicts for a whole rectangle of (n, u) cells come from `table`, which
 renders as an aligned text grid or CSV.  The CSV is independent of
@@ -200,39 +200,26 @@ class Prover:
         return self._memo[t]
 
     def _resolve(self, t: TypeSpec) -> Outcome:
-        notes = []
-        for rule in (self._r_trivial, self._r_feasible, self._r_cap,
-                     self._r_catalog, self._r_search, self._r_tdw, self._r_mul,
-                     self._r_fill_a, self._r_fill_b, self._r_9fam):
-            hit = rule(t, notes)
-            if isinstance(hit, Outcome):
-                return hit
-            if hit is not None:
-                return Outcome(EXISTS, t, recipe=hit)
-        return Outcome(UNKNOWN_HERE, t, notes=tuple(notes))
-
-    # -- rules, in chain order ----------------------------------------
-
-    def _r_trivial(self, t, notes):
-        # No cross pairs means the empty block set is a design.
+        """Three gates, then six rules, each of which gives a recipe or
+        nothing: R-TRIV for at most one hole (no cross pairs), INFEASIBLE
+        by `is_feasible`, UNKNOWN_HERE past `max_points`, then the chain."""
         if t.holes <= 1:
-            return Recipe("R-TRIV", t)
-        return None
-
-    def _r_feasible(self, t, notes):
+            return Outcome(EXISTS, t, recipe=Recipe("R-TRIV", t))
         nu = t.split(3)
-        if nu is None:
-            return None
-        rep = is_feasible(*nu)
-        if not rep.feasible:
+        if nu is not None and not (rep := is_feasible(*nu)).feasible:
             return Outcome(INFEASIBLE, t, report=rep)
-        return None
-
-    def _r_cap(self, t, notes):
         if t.points > self.max_points:
             return Outcome(UNKNOWN_HERE, t, notes=(
                 f"beyond scale cap ({t.points} points > {self.max_points})",))
-        return None
+        notes = []
+        for rule in (self._r_catalog, self._r_search, self._r_tdw, self._r_mul,
+                     self._r_fill, self._r_9fam):
+            recipe = rule(t, notes)
+            if recipe is not None:
+                return Outcome(EXISTS, t, recipe=recipe)
+        return Outcome(UNKNOWN_HERE, t, notes=tuple(notes))
+
+    # -- rules, in chain order ----------------------------------------
 
     def _r_catalog(self, t, notes):
         e = catalog_for_type(t)
@@ -286,26 +273,19 @@ class Prover:
         _note_frontier(notes, "multiplying", blocked)
         return None
 
-    def _r_fill_a(self, t, notes):
-        """3^(s*m) (w+v)^1 from an outer (3s)^m w^1 whose big holes are
-        filled with copies of 3^s v^1 sharing v new points."""
+    def _r_fill(self, t, notes):
+        """R-FILL-A, then R-FILL-B: 3^(s*m+tt) (w+v)^1 from an outer (3s)^m
+        (3tt)^1 w^1 (no 3tt hole in R-FILL-A), whose big holes take 3^s
+        v^1 and whose odd one takes 3^tt v^1, all sharing v new points."""
         nu = t.split(3)
         if nu is None:
             return None
         n, u = nu
-        shapes = [(s, n // s, 0) for s in divisors(n) if s >= 3 and n // s >= 3]
-        return self._fill(t, notes, u, shapes, "R-FILL-A", "hole filling")
-
-    def _r_fill_b(self, t, notes):
-        """3^(s*m+t) (w+v)^1 from an outer (3s)^m (3t)^1 w^1: the big holes
-        take 3^s v^1, the odd one takes 3^tt v^1, all sharing v new points."""
-        nu = t.split(3)
-        if nu is None:
-            return None
-        n, u = nu
-        shapes = [(s, m, n - s * m) for s in range(3, n // 4 + 1)
-                  for m in range(4, n // s + 1) if 1 <= n - s * m < s]
-        return self._fill(t, notes, u, shapes, "R-FILL-B", "two-size hole filling")
+        shapes_a = [(s, n // s, 0) for s in divisors(n) if s >= 3 and n // s >= 3]
+        shapes_b = [(s, m, n - s * m) for s in range(3, n // 4 + 1)
+                    for m in range(4, n // s + 1) if 1 <= n - s * m < s]
+        return (self._fill(t, notes, u, shapes_a, "R-FILL-A", "hole filling")
+                or self._fill(t, notes, u, shapes_b, "R-FILL-B", "two-size hole filling"))
 
     def _fill(self, t, notes, u, shapes, rule, what):
         """The planning loop of both filling rules.  Each shape (s, m, tt)
@@ -343,10 +323,8 @@ class Prover:
     def _r_9fam(self, t, notes):
         """9^9 u^1 for even u in 18..36: weight a TD(10, 9) with 1 on nine
         groups and {4, 2} on the last, u = 18 + 2k for k points of weight 4."""
-        if dict(t.items).get(9) != 9 or len(t.items) != 2:
-            return None
-        (u,) = [s for s, c in t.items if s != 9]
-        if u % 2 or not 18 <= u <= 36:
+        n, u = t.split(9) or (0, 0)
+        if n != 9 or u % 2 or not 18 <= u <= 36:
             return None
         k = (u - 18) // 2
         plans = [self.resolve(spec) for spec in _td_ingredients(_9fam_groups(k))]

@@ -359,14 +359,32 @@ def test_multiply_command(tmp_path, capsys):
     assert len(d.blocks) == 243
 
 
-def test_multiply_prints_the_diagnostics_of_a_product_that_fails(tmp_path, capsys):
-    # a base design short of one block multiplies to a design short of nine
+# S/3^4 short of its first block, and what `verify` says of it
+_S34_SHORT_ERRORS = [
+    "  pair (0, 3) missing in color 1",
+    "  pair (0, 7) missing in color 3",
+    "  pair (0, 11) missing in color 2",
+    "  pair (3, 7) missing in color 2",
+    "  pair (3, 11) missing in color 3",
+    "  pair (7, 11) missing in color 1",
+    "  26 blocks, expected 27",
+]
+
+
+def _s34_short(tmp_path):
     base = catalog_get("S/3^4").design()
-    f = tmp_path / "base.design"
+    f = tmp_path / "short.design"
     f.write_text(serialize_design(Design(base.structure, base.blocks[1:], base.label_base)))
+    return f
+
+
+def test_multiply_prints_the_diagnostics_of_a_product_that_fails(tmp_path, capsys):
+    # a base design short of one block would multiply to a design short of
+    # nine; the base is checked first, so its own diagnostics are printed
+    f = _s34_short(tmp_path)
     code, out, err = run(capsys, "multiply", str(f), "3")
     assert (code, out) == (1, "")
-    assert err.startswith("  pair (0, 9) missing in color 1\n")
+    assert err.splitlines() == [f"input {f} fails verification:", *_S34_SHORT_ERRORS]
 
 
 @pytest.mark.parametrize("m", ["0", "-3"])
@@ -408,6 +426,18 @@ def test_fill_command(tmp_path, capsys):
     d = parse_design(out)
     assert d.type == parse_type("3^12 4^1")
     assert len(d.blocks) == 369
+
+
+def test_fill_names_an_inner_design_that_fails(tmp_path, capsys):
+    outer = tmp_path / "outer.design"
+    outer.write_text(catalog_get("C1/9^4 1^1").text())
+    inner = _s34_short(tmp_path)
+    code, out, err = run(
+        capsys, "fill", "a", str(outer), str(inner),
+        "--new-points", "3", "--keep", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"input {inner} fails verification:", *_S34_SHORT_ERRORS]
 
 
 def test_fill_b_command(tmp_path, capsys):

@@ -257,6 +257,16 @@ def test_cap_comes_after_trivial_types_and_feasibility():
     assert out.verdict == EXISTS and out.recipe.rule == "R-TRIV"
 
 
+def test_9fam_needs_one_long_hole():
+    # R-9FAM weights a TD(10, 9) into 9^9 u^1; a long hole that repeats is
+    # another type, which the rule must leave alone
+    for text in ["9^9 20^2", "9^9 18^3", "9^9 36^2"]:
+        assert Prover().resolve(parse_type(text)).verdict == UNKNOWN_HERE, text
+    out = Prover().resolve(parse_type("9^9 20^1"))
+    assert out.verdict == EXISTS and out.recipe.rule == "R-9FAM"
+    assert dict(out.recipe.params) == {"k": 1}
+
+
 def test_prove_and_resolve_agree_beyond_the_cap():
     cap = Prover().max_points
     cells = [(n, u) for n in range(4, 121) for u in range(46) if 3 * n + u > cap]
@@ -343,6 +353,11 @@ def test_resolve_calls_are_frozen(monkeypatch):
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert digest == "18abc51368f81bf47ad370c7f24af3f49e30a6d94a094f76d4816957112b64d0"
     assert len(tab.unknown_cells()) == 50
+    # and what the plan says of each cell: the CSV and every verdict's
+    # description, recorded before the three gates moved into _resolve
+    report = tab.to_csv() + "\n".join(o.describe() for _, o in sorted(tab.cells.items()))
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == "1f357fc9bc575cb034f570d57196ad926e8b8ba5018eba7aa8c328ced2904dff"
 
 
 # The undecided cells of table(45, 45) inside the paper's theorem region,
